@@ -394,7 +394,7 @@ fn server_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let acceptor = {
         let server = server.clone();
         std::thread::spawn(move || {
-            let _ = server.serve_tcp(listener);
+            let _ = server.serve_event_loop(listener);
         })
     };
     let mut writer = TcpStream::connect(addr).expect("connect loopback");
@@ -660,7 +660,7 @@ fn repl_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let acceptor = {
         let server = primary.clone();
         std::thread::spawn(move || {
-            let _ = server.serve_tcp(listener);
+            let _ = server.serve_event_loop(listener);
         })
     };
     let committed = primary.wal_committed_bytes().expect("durable primary");
@@ -708,7 +708,7 @@ fn repl_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         let serve_thread = {
             let server = replica.clone();
             std::thread::spawn(move || {
-                let _ = server.serve_tcp(listener);
+                let _ = server.serve_event_loop(listener);
             })
         };
         replicas.push((replica, raddr, repl_thread, serve_thread));

@@ -5,6 +5,11 @@
 //! revkb-server --listen 127.0.0.1:7878 # serve TCP clients until `shutdown`
 //! ```
 //!
+//! `--listen` serves NDJSON and the HTTP gateway on the epoll event
+//! loop, which answers each connection's requests in request order.
+//! `--io evloop`, which named that front end when there were two, is
+//! still accepted and has no effect.
+//!
 //! Tuning comes from `REVKB_SERVER_*` environment variables (see
 //! `ServerConfig::from_env`) overridden by the flags below. The same
 //! loops are reachable as `revkb serve` from the main CLI.
@@ -16,7 +21,6 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: revkb-server (--stdio | --listen ADDR) \
-                     [--io evloop|blocking] \
                      [--threads N] [--queue N] [--deadline-ms N] \
                      [--compile-timeout-ms N] [--cache-cap N] \
                      [--slow-ms N] [--data-dir DIR] \
@@ -24,49 +28,16 @@ const USAGE: &str = "usage: revkb-server (--stdio | --listen ADDR) \
                      [--replica-of HOST:PORT] [--metrics-addr HOST:PORT] \
                      [--log-file PATH]";
 
-/// Environment variable selecting the TCP front end (`evloop` or
-/// `blocking`); overridden by `--io`.
-const IO_ENV: &str = "REVKB_SERVER_IO";
-
 enum Transport {
     Stdio,
     Tcp(String),
 }
 
-/// Which TCP front end serves the data plane.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum IoMode {
-    /// The epoll event loop (pipelining + the HTTP gateway). The
-    /// default on Linux; elsewhere it falls back to `blocking`.
-    Evloop,
-    /// One blocking thread per connection.
-    Blocking,
-}
-
-impl IoMode {
-    fn parse(raw: &str) -> Option<IoMode> {
-        match raw {
-            "evloop" => Some(IoMode::Evloop),
-            "blocking" => Some(IoMode::Blocking),
-            _ => None,
-        }
-    }
-
-    fn from_env() -> IoMode {
-        std::env::var(IO_ENV)
-            .ok()
-            .as_deref()
-            .and_then(IoMode::parse)
-            .unwrap_or(IoMode::Evloop)
-    }
-}
-
-type Parsed = (Transport, ServerConfig, IoMode, Option<std::path::PathBuf>);
+type Parsed = (Transport, ServerConfig, Option<std::path::PathBuf>);
 
 fn parse_args(args: &[String]) -> Result<Parsed, String> {
     let mut transport = None;
     let mut log_file = None;
-    let mut io_mode = IoMode::from_env();
     let mut config = ServerConfig::from_env();
     let mut iter = args.iter();
     let value = |iter: &mut std::slice::Iter<String>, flag: &str| {
@@ -79,9 +50,9 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
             "--stdio" => transport = Some(Transport::Stdio),
             "--listen" => transport = Some(Transport::Tcp(value(&mut iter, "--listen")?)),
             "--io" => {
-                let raw = value(&mut iter, "--io")?;
-                io_mode =
-                    IoMode::parse(&raw).ok_or_else(|| "--io needs evloop|blocking".to_string())?;
+                if value(&mut iter, "--io")? != "evloop" {
+                    return Err("--io accepts only evloop, the one TCP front end".to_string());
+                }
             }
             "--threads" => {
                 config = config.with_threads(
@@ -155,12 +126,12 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         }
     }
     let transport = transport.ok_or_else(|| "pick --stdio or --listen ADDR".to_string())?;
-    Ok((transport, config, io_mode, log_file))
+    Ok((transport, config, log_file))
 }
 
 /// Run the server on the chosen transport. Shared with `revkb serve`.
 pub fn run(args: &[String]) -> ExitCode {
-    let (transport, config, io_mode, log_file) = match parse_args(args) {
+    let (transport, config, log_file) = match parse_args(args) {
         Ok(parsed) => parsed,
         Err(message) => {
             obs::error("server", None, || {
@@ -202,7 +173,7 @@ pub fn run(args: &[String]) -> ExitCode {
         });
     }
     // Replica mode: the apply loop runs alongside the serving loop
-    // and drains on `shutdown` like every connection thread.
+    // and drains on `shutdown` like the serving loop.
     let replication = server.start_replication();
     if let Some(status) = server.replication_status() {
         obs::info("repl", None, || {
@@ -244,10 +215,7 @@ pub fn run(args: &[String]) -> ExitCode {
                     println!("listening {local}");
                     let _ = io::stdout().flush();
                 }
-                match io_mode {
-                    IoMode::Evloop => server.serve_event_loop(listener),
-                    IoMode::Blocking => server.serve_tcp(listener),
-                }
+                server.serve_event_loop(listener)
             }
             Err(e) => {
                 obs::error("server", None, || {

@@ -1,4 +1,5 @@
-//! The epoll-based non-blocking I/O front end.
+//! The epoll-based non-blocking I/O front end — the server's only TCP
+//! front end.
 //!
 //! One readiness thread multiplexes every data-plane connection:
 //! non-blocking accept, read, and write, with a per-connection state
@@ -8,8 +9,7 @@
 //! worker/admission machinery:
 //!
 //! - **admission runs on the loop thread** ([`Server` routing]) so a
-//!   flood of connections is answered `overloaded` in arrival order,
-//!   exactly as the blocking front end would answer it;
+//!   flood of connections is answered `overloaded` in arrival order;
 //! - admitted data-plane commands go to a pool of
 //!   `ServerConfig::threads` workers (the same permit gate and
 //!   deadlines apply);
@@ -20,17 +20,21 @@
 //!   and wake the loop through a self-pipe; the loop copies each
 //!   response into its connection's write buffer.
 //!
-//! **Pipelining**: a connection may have any number of line-protocol
-//! requests in flight; responses are written in *completion* order,
-//! with the envelope's `req` field preserving correlation. HTTP
-//! connections run one request at a time (HTTP responses have no
-//! `req`-style correlation on the wire, so order must be preserved);
-//! pipelined HTTP requests queue in the parser.
+//! **Request order**: a connection has at most one request with a
+//! worker, on both protocols. A client may pipeline any number of
+//! requests; they wait in the connection's buffer, and the next one
+//! is parsed only once its predecessor's response has been queued.
+//! So responses come back in request order, and a `revise` never runs
+//! before the `load` sent ahead of it on the same connection. Each
+//! connection sees exactly the answers [`Server::serve_stdio`] gives
+//! for the same lines. Concurrency comes from many connections, not
+//! from one connection's pipeline; while a request runs, the loop
+//! stops reading a connection once 64 KiB of later requests wait.
 //!
 //! A `replicate` request hands the whole connection off to a
 //! dedicated blocking thread (the WAL shipping stream is not
-//! line-framed); any bytes the replica pipelined behind the handshake
-//! are discarded, matching the blocking front end.
+//! line-framed) after every earlier answer has been written; any
+//! bytes the replica pipelined behind the handshake are discarded.
 //!
 //! On shutdown the loop stops accepting, flushes every buffered
 //! response (bounded by a 5 s grace period) so the `shutdown` answer
@@ -39,10 +43,8 @@
 //! Everything here is zero-dependency: the epoll and rlimit syscalls
 //! are declared directly against libc (which every std binary links
 //! anyway) in the private `sys` shim — the only `unsafe` in the
-//! workspace.
-//!
-//! On non-Linux targets [`Server::serve_event_loop`] falls back to
-//! the blocking thread-per-connection front end.
+//! workspace. The front end is Linux-only; elsewhere
+//! [`Server::serve_event_loop`] returns [`io::ErrorKind::Unsupported`].
 
 use crate::server::Server;
 use std::io;
@@ -68,11 +70,11 @@ pub fn raise_nofile(target: u64) -> u64 {
 
 impl Server {
     /// Serve the data plane on `listener` with the epoll event loop
-    /// until a `shutdown` command arrives. Answers are identical to
-    /// [`Server::serve_tcp`] — same routing, same admission, same
-    /// envelopes — plus the HTTP/JSON gateway (`POST /v1`, metrics
-    /// GETs) on the same port. Falls back to `serve_tcp` on
-    /// non-Linux targets.
+    /// until a `shutdown` command arrives: NDJSON lines, answered per
+    /// connection exactly as [`Server::serve_stdio`] answers them,
+    /// plus the HTTP/JSON gateway (`POST /v1`, metrics GETs) on the
+    /// same port. Returns [`io::ErrorKind::Unsupported`] on non-Linux
+    /// targets.
     pub fn serve_event_loop(&self, listener: TcpListener) -> io::Result<()> {
         #[cfg(target_os = "linux")]
         {
@@ -80,7 +82,8 @@ impl Server {
         }
         #[cfg(not(target_os = "linux"))]
         {
-            self.serve_tcp(listener)
+            let _ = listener;
+            Err(io::ErrorKind::Unsupported.into())
         }
     }
 }
@@ -242,6 +245,9 @@ mod linux {
     const FIRST_CONN_TOKEN: u64 = 2;
     const READ_CHUNK: usize = 16 * 1024;
     const EVENTS_CAP: usize = 1024;
+    /// Requests waiting behind a busy connection's in-flight one; past
+    /// this many buffered bytes the loop stops reading the socket.
+    const MAX_BUFFERED: usize = 64 * 1024;
     const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
     /// Which wire framing a worker's response needs.
@@ -300,10 +306,9 @@ mod linux {
         /// Bytes queued for the peer; `written` of them already sent.
         write_buf: Vec<u8>,
         written: usize,
-        /// Responses still owed by workers.
-        pending: usize,
-        /// HTTP runs one request at a time to preserve response order.
-        http_busy: bool,
+        /// A request is with a worker. Both protocols keep at most one
+        /// in flight, so responses go out in request order.
+        busy: bool,
         /// EOF seen or `Connection: close` honoured: stop reading,
         /// close once everything pending has flushed.
         closing: bool,
@@ -320,11 +325,24 @@ mod linux {
                 line_buf: Vec::new(),
                 write_buf: Vec::new(),
                 written: 0,
-                pending: 0,
-                http_busy: false,
+                busy: false,
                 closing: false,
                 interest: sys::EPOLLIN | sys::EPOLLRDHUP,
             }
+        }
+
+        /// Bytes read but not yet taken as requests.
+        fn buffered(&self) -> usize {
+            match &self.proto {
+                Proto::Http(parser) => parser.buffered(),
+                _ => self.line_buf.len(),
+            }
+        }
+
+        /// Whether to read more: not after EOF or close, and not while
+        /// enough later requests already wait behind a busy one.
+        fn wants_read(&self) -> bool {
+            !self.closing && (!self.busy || self.buffered() < MAX_BUFFERED)
         }
     }
 
@@ -462,11 +480,11 @@ mod linux {
             Ok(flushed) => flushed,
             Err(_) => return false,
         };
-        if conn.closing && flushed && conn.pending == 0 {
+        if conn.closing && flushed && !conn.busy {
             return false;
         }
         let mut want = 0;
-        if !conn.closing {
+        if conn.wants_read() {
             want |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if !flushed {
@@ -487,7 +505,8 @@ mod linux {
     }
 
     /// Detach the connection from the loop and serve the replication
-    /// stream on a blocking thread of its own.
+    /// stream on a blocking thread of its own, after writing out the
+    /// answers still queued for the requests ahead of it.
     fn handoff(ctx: &Ctx, conns: &mut HashMap<u64, Conn>, token: u64, request: Request, req: u64) {
         let Some(conn) = conns.remove(&token) else {
             return;
@@ -498,11 +517,14 @@ mod linux {
             ctx.server.connection_closed();
             return;
         }
+        let queued = conn.write_buf[conn.written..].to_vec();
         let server = ctx.server.clone();
         std::thread::Builder::new()
             .name("revkb-replicate".to_string())
             .spawn(move || {
-                server.handle_replicate(&mut stream, req, &request);
+                if stream.write_all(&queued).is_ok() {
+                    server.handle_replicate(&mut stream, req, &request);
+                }
                 server.connection_closed();
             })
             .expect("spawn replication thread");
@@ -512,7 +534,7 @@ mod linux {
     /// protocol.
     fn handle_readable(ctx: &Ctx, conn: &mut Conn) -> After {
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
+        while conn.wants_read() {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.closing = true;
@@ -527,6 +549,7 @@ mod linux {
                 Err(_) => return After::Close,
             }
         }
+        After::Keep
     }
 
     /// Feed freshly read bytes through protocol sniffing and framing.
@@ -541,31 +564,49 @@ mod linux {
                 };
                 if conn.line_buf[pos] == b'{' {
                     conn.proto = Proto::Line;
-                    process_lines(ctx, conn)
                 } else {
                     let rest = conn.line_buf.split_off(pos);
                     conn.line_buf.clear();
                     let mut parser = http::HttpParser::new();
                     parser.feed(&rest);
                     conn.proto = Proto::Http(parser);
-                    drain_http(ctx, conn)
                 }
             }
-            Proto::Line => {
-                conn.line_buf.extend_from_slice(bytes);
-                process_lines(ctx, conn)
-            }
-            Proto::Http(ref mut parser) => {
-                parser.feed(bytes);
-                drain_http(ctx, conn)
-            }
+            Proto::Line => conn.line_buf.extend_from_slice(bytes),
+            Proto::Http(ref mut parser) => parser.feed(bytes),
+        }
+        drain(ctx, conn)
+    }
+
+    /// Start the connection's buffered requests in order, up to the
+    /// first one handed to a worker; its completion resumes the drain.
+    fn drain(ctx: &Ctx, conn: &mut Conn) -> After {
+        match conn.proto {
+            Proto::Unknown => After::Keep,
+            Proto::Line => drain_lines(ctx, conn),
+            Proto::Http(_) => drain_http(ctx, conn),
         }
     }
 
-    /// Dispatch every complete NDJSON line in the buffer. Requests
-    /// pipeline freely: each is routed as soon as its line arrives.
-    fn process_lines(ctx: &Ctx, conn: &mut Conn) -> After {
-        while let Some(pos) = conn.line_buf.iter().position(|&b| b == b'\n') {
+    /// Hand a routed request to its worker; the connection starts no
+    /// other request until the answer is back.
+    fn dispatch(ctx: &Ctx, conn: &mut Conn, control: bool, job: Job) {
+        conn.busy = true;
+        if control {
+            let _ = ctx.ctl_tx.send(ControlJob::Request(job));
+        } else {
+            let _ = ctx.data_tx.send(job);
+        }
+    }
+
+    /// Take complete NDJSON lines off the buffer, one in flight at a
+    /// time. Lines keep draining after EOF: a client that half-closes
+    /// right after its burst still gets every answer.
+    fn drain_lines(ctx: &Ctx, conn: &mut Conn) -> After {
+        while !conn.busy {
+            let Some(pos) = conn.line_buf.iter().position(|&b| b == b'\n') else {
+                break;
+            };
             let line_bytes: Vec<u8> = conn.line_buf.drain(..=pos).collect();
             let line = String::from_utf8_lossy(&line_bytes[..pos]).into_owned();
             let line = line.trim();
@@ -595,27 +636,17 @@ mod linux {
                                 .extend_from_slice(response.render().as_bytes());
                             conn.write_buf.push(b'\n');
                         }
-                        Routing::Control => {
-                            conn.pending += 1;
-                            let _ = ctx.ctl_tx.send(ControlJob::Request(Job {
-                                token: conn.token,
-                                request,
-                                started,
-                                req,
-                                reply: Reply::Line,
-                            }));
-                        }
-                        Routing::Admitted => {
-                            conn.pending += 1;
-                            let _ = ctx.data_tx.send(Job {
-                                token: conn.token,
-                                request,
-                                started,
-                                req,
-                                reply: Reply::Line,
-                            });
-                        }
                         Routing::Replicate => return After::Handoff { request, req },
+                        routing => {
+                            let job = Job {
+                                token: conn.token,
+                                request,
+                                started,
+                                req,
+                                reply: Reply::Line,
+                            };
+                            dispatch(ctx, conn, matches!(routing, Routing::Control), job);
+                        }
                     }
                 }
             }
@@ -627,7 +658,7 @@ mod linux {
     /// time.
     fn drain_http(ctx: &Ctx, conn: &mut Conn) -> After {
         loop {
-            if conn.http_busy || conn.closing {
+            if conn.busy || conn.closing {
                 return After::Keep;
             }
             let taken = match conn.proto {
@@ -761,29 +792,17 @@ mod linux {
                                     &envelope_http(&response).to_bytes_with(keep),
                                 );
                             }
-                            Routing::Control => {
-                                conn.pending += 1;
-                                conn.http_busy = true;
-                                let _ = ctx.ctl_tx.send(ControlJob::Request(Job {
-                                    token: conn.token,
-                                    request,
-                                    started,
-                                    req,
-                                    reply: Reply::Http { keep_alive: keep },
-                                }));
-                            }
-                            Routing::Admitted => {
-                                conn.pending += 1;
-                                conn.http_busy = true;
-                                let _ = ctx.data_tx.send(Job {
-                                    token: conn.token,
-                                    request,
-                                    started,
-                                    req,
-                                    reply: Reply::Http { keep_alive: keep },
-                                });
-                            }
                             Routing::Replicate => unreachable!("replicate is not routed over HTTP"),
+                            routing => {
+                                let job = Job {
+                                    token: conn.token,
+                                    request,
+                                    started,
+                                    req,
+                                    reply: Reply::Http { keep_alive: keep },
+                                };
+                                dispatch(ctx, conn, matches!(routing, Routing::Control), job);
+                            }
                         }
                     }
                 },
@@ -801,8 +820,7 @@ mod linux {
                     | "/debug/requests.json"
             )
         {
-            conn.pending += 1;
-            conn.http_busy = true;
+            conn.busy = true;
             let _ = ctx.ctl_tx.send(ControlJob::MetricsGet {
                 token: conn.token,
                 path: hreq.path,
@@ -873,23 +891,20 @@ mod linux {
         if flags & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !conn.closing {
             after = handle_readable(ctx, conn);
         }
+        conclude(ctx, conns, token, after);
+    }
+
+    /// Act on a handler's verdict: drop the connection, hand it off,
+    /// or flush and settle it.
+    fn conclude(ctx: &Ctx, conns: &mut HashMap<u64, Conn>, token: u64, after: After) {
         match after {
-            After::Close => {
-                drop_conn(ctx, conns, token);
-                return;
+            After::Close => drop_conn(ctx, conns, token),
+            After::Handoff { request, req } => handoff(ctx, conns, token, request, req),
+            After::Keep => {
+                if conns.get_mut(&token).is_some_and(|conn| !settle(ctx, conn)) {
+                    drop_conn(ctx, conns, token);
+                }
             }
-            After::Handoff { request, req } => {
-                handoff(ctx, conns, token, request, req);
-                return;
-            }
-            After::Keep => {}
-        }
-        let keep = conns
-            .get_mut(&token)
-            .map(|conn| settle(ctx, conn))
-            .unwrap_or(true);
-        if !keep {
-            drop_conn(ctx, conns, token);
         }
     }
 
@@ -946,9 +961,7 @@ mod linux {
                     accepting = false;
                     grace = Some(Instant::now() + SHUTDOWN_GRACE);
                 }
-                let idle = conns
-                    .values()
-                    .all(|c| c.pending == 0 && c.write_buf.is_empty());
+                let idle = conns.values().all(|c| !c.busy && c.write_buf.is_empty());
                 if idle || grace.is_some_and(|g| Instant::now() > g) {
                     break;
                 }
@@ -982,23 +995,17 @@ mod linux {
                 }
             }
             // Completed responses: copy each into its connection's
-            // write buffer (dead tokens are simply dropped) and give
-            // HTTP connections their next queued request.
+            // write buffer (dead tokens are simply dropped) and start
+            // the connection's next buffered request.
             let batch = std::mem::take(&mut *completions.lock().expect("completions poisoned"));
             for completion in batch {
                 let Some(conn) = conns.get_mut(&completion.token) else {
                     continue;
                 };
-                conn.pending = conn.pending.saturating_sub(1);
-                conn.http_busy = false;
+                conn.busy = false;
                 conn.write_buf.extend_from_slice(&completion.bytes);
-                if matches!(conn.proto, Proto::Http(_)) {
-                    let _ = drain_http(&ctx, conn);
-                }
-                let keep = settle(&ctx, conn);
-                if !keep {
-                    drop_conn(&ctx, &mut conns, completion.token);
-                }
+                let after = drain(&ctx, conn);
+                conclude(&ctx, &mut conns, completion.token, after);
             }
         }
         drop(ctl_tx);

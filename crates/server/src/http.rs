@@ -205,9 +205,9 @@ impl HttpParser {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Whether any unconsumed bytes are buffered.
-    pub fn has_buffered(&self) -> bool {
-        !self.buf.is_empty()
+    /// How many unconsumed bytes are buffered.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
     }
 
     /// Try to take one complete request off the front of the buffer.
@@ -355,8 +355,7 @@ fn decode_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, Response> {
 /// Serve HTTP on `listener` until `stop` returns true: accept
 /// nonblocking, one thread per connection (scrapes are cheap, but a
 /// slow reader must not block the next one), every thread joined on
-/// the way out. Mirrors the data plane's accept loop so shutdown
-/// semantics match.
+/// the way out.
 pub fn serve<S, H>(listener: TcpListener, stop: S, handler: H) -> io::Result<()>
 where
     S: Fn() -> bool + Clone + Send + Sync + 'static,
@@ -370,7 +369,7 @@ where
                 let stop = stop.clone();
                 let handler = handler.clone();
                 handles.push(std::thread::spawn(move || {
-                    serve_conn(stream, &stop, &handler);
+                    serve_scrape(stream, &stop, &handler);
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -388,7 +387,7 @@ where
 /// One connection: read one full request (2 s budget, [`HttpParser`]
 /// limits), route, answer, close. One response per connection — the
 /// sidecar never keeps a scraper attached.
-fn serve_conn(
+fn serve_scrape(
     mut stream: TcpStream,
     stop: &dyn Fn() -> bool,
     handler: &dyn Fn(&HttpRequest) -> Response,
@@ -697,7 +696,7 @@ revkb_server_request_micros_count{cmd=\"query\"} 6
         let second = parser.take().unwrap().unwrap();
         assert_eq!(second.path, "/healthz");
         assert!(parser.take().unwrap().is_none());
-        assert!(!parser.has_buffered());
+        assert_eq!(parser.buffered(), 0);
     }
 
     #[test]

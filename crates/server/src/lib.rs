@@ -19,7 +19,7 @@
 //!   `(operator, backend, T, P…)` keys so recompiling a base another
 //!   client already compiled is free;
 //! - [`server`]: admission control, per-request deadlines, compile
-//!   degradation, and the stdio/TCP serving loops;
+//!   degradation, and the stdio serving loop;
 //! - [`wal`]: the durable store — an append-only, checksummed
 //!   write-ahead log of committed mutations plus periodic artifact
 //!   snapshots, replayed on boot so a restarted server serves warm
@@ -35,10 +35,11 @@
 //!   behind `--metrics-addr` (Prometheus `/metrics`, JSON
 //!   `/stats.json` / `/series.json`, probes `/healthz` / `/readyz`)
 //!   and the event loop's JSON gateway;
-//! - [`event_loop`]: the epoll-based non-blocking front end — one
-//!   readiness thread multiplexing thousands of pipelined line- or
-//!   HTTP-protocol connections onto the existing worker/admission
-//!   machinery.
+//! - [`event_loop`]: the server's one TCP front end, epoll-based and
+//!   non-blocking — one readiness thread multiplexing thousands of
+//!   pipelined line- or HTTP-protocol connections onto the existing
+//!   worker/admission machinery, one request in flight per connection
+//!   so each connection's responses come back in request order.
 //!
 //! See `crates/server/PROTOCOL.md` for the wire format.
 

@@ -398,7 +398,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 
 /// A response envelope, not yet rendered to its wire line. This is
 /// the transport-agnostic return value of `Server::execute`: stdio,
-/// blocking TCP, the event loop, and the HTTP gateway all render the
+/// the event loop's NDJSON lines, and the HTTP gateway all render the
 /// same [`Response`] with [`Response::render`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {

@@ -1,14 +1,16 @@
 //! The server proper: admission control, deadlines, degradation, and
-//! the command dispatcher, plus the stdio and TCP serving loops.
+//! the command dispatcher, plus the stdio serving loop (TCP is served
+//! by the event loop in [`crate::event_loop`]).
 //!
-//! Concurrency model: any number of connection threads feed
-//! [`Server::handle_line`]. A request is first **admitted** (bounded
-//! in-flight count — beyond it the server answers `overloaded` instead
-//! of queueing unboundedly), then waits for one of a fixed number of
-//! **execution permits** (so at most `threads` requests run engine
-//! work at once), then executes against the named KB's own mutex
-//! (queries to different KBs run in parallel; queries to one KB
-//! serialise, which the incremental-session engines require anyway).
+//! Concurrency model: any number of connections feed the dispatcher
+//! through the event loop's workers (or [`Server::handle_line`]). A
+//! request is first **admitted** (bounded in-flight count — beyond it
+//! the server answers `overloaded` instead of queueing unboundedly),
+//! then waits for one of a fixed number of **execution permits** (so
+//! at most `threads` requests run engine work at once), then executes
+//! against the named KB's own mutex (queries to different KBs run in
+//! parallel; queries to one KB serialise, which the incremental-session
+//! engines require anyway).
 //!
 //! Deadlines are best-effort, not preemptive: a request's deadline is
 //! checked at admission, after the permit wait, and again after
@@ -398,16 +400,6 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Decrements the open-connection gauge when a blocking connection
-/// thread exits by any path.
-struct ConnGuard<'a>(&'a Server);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.connection_closed();
-    }
-}
-
 /// Where one parsed request goes next, as decided on the event-loop
 /// thread by [`Server::route_request`].
 pub(crate) enum Routing {
@@ -529,8 +521,8 @@ struct Inner {
     /// `series` section of `stats` (populated right after
     /// construction; `None` only mid-build).
     sampler: Mutex<Option<obs::Sampler>>,
-    /// Data-plane connections currently open (blocking TCP threads
-    /// plus event-loop registrations).
+    /// Data-plane connections currently open on the event loop
+    /// (including ones handed off to a replication stream).
     connections: AtomicU64,
 }
 
@@ -1041,8 +1033,8 @@ impl Server {
                 ))
             }
             Command::Replicate { .. } => {
-                // The TCP loops intercept `replicate` before line
-                // dispatch and switch the connection to a raw record
+                // The event loop intercepts `replicate` before line
+                // dispatch and switches the connection to a raw record
                 // stream; reaching here means a transport that cannot
                 // carry one (stdio, HTTP).
                 self.inner.counters.error();
@@ -1251,9 +1243,9 @@ impl Server {
     /// `allow_replicate` is false for HTTP, which cannot carry a raw
     /// record stream).
     ///
-    /// Runs on the loop thread, so admission happens at arrival order:
-    /// a flood of connections sees `overloaded` exactly as the
-    /// blocking front end would answer it.
+    /// Runs on the loop thread, so admission happens in arrival order:
+    /// a flood of connections sees `overloaded` as soon as the
+    /// in-flight bound is reached.
     pub(crate) fn route_request(
         &self,
         request: &Request,
@@ -2551,30 +2543,6 @@ impl Server {
         Ok(())
     }
 
-    /// Accept TCP connections until a `shutdown` command arrives (from
-    /// any connection), then join every connection thread so no
-    /// response is lost.
-    pub fn serve_tcp(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut handles = Vec::new();
-        while !self.is_shutting_down() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let server = self.clone();
-                    handles.push(std::thread::spawn(move || server.serve_conn(stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
-
     /// The configuration this server was built with.
     pub(crate) fn config(&self) -> &ServerConfig {
         &self.inner.config
@@ -2591,69 +2559,6 @@ impl Server {
     pub(crate) fn connection_closed(&self) {
         self.inner.connections.fetch_sub(1, Ordering::Relaxed);
         metrics::CONNECTIONS.dec();
-    }
-
-    /// One connection: manual line buffering on top of short read
-    /// timeouts, so the thread notices a shutdown initiated elsewhere
-    /// instead of blocking in `read` forever. (A `BufReader::read_line`
-    /// would lose buffered partial lines on every timeout.)
-    fn serve_conn(&self, mut stream: TcpStream) {
-        if stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .is_err()
-        {
-            return;
-        }
-        self.connection_opened();
-        let _conn = ConnGuard(self);
-        // Each response is a single small segment; without TCP_NODELAY,
-        // Nagle's algorithm holds it back waiting for the peer's delayed
-        // ACK, adding tens of milliseconds to every round trip.
-        let _ = stream.set_nodelay(true);
-        let mut buffer: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    buffer.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-                        let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&line_bytes[..pos]);
-                        // `replicate` consumes the whole connection:
-                        // after the handshake response, the socket
-                        // carries a raw record stream, not lines.
-                        if line.contains("\"replicate\"") {
-                            if let Ok(request) = parse_request(&line) {
-                                if matches!(request.cmd, Command::Replicate { .. }) {
-                                    let req = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-                                    self.handle_replicate(&mut stream, req, &request);
-                                    return;
-                                }
-                            }
-                        }
-                        if let Some(response) = self.handle_line(&line) {
-                            if write_framed(&mut stream, response).is_err() {
-                                return;
-                            }
-                        }
-                        if self.is_shutting_down() {
-                            let _ = stream.flush();
-                            return;
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if self.is_shutting_down() {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
     }
 
     // ------------------------------------------------ metrics plane

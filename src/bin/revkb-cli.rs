@@ -49,7 +49,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  revkb-cli revise  --op <operator> -t <formula> -p <formula> [--models]\n  revkb-cli compile --op <operator> -t <formula> -p <formula> -q <query>\n  revkb-cli compile-seq --op <operator> -t <formula> --ps <p1 ; p2 ; …> -q <query>\n  revkb-cli worlds  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli widtio  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli check   --op <operator> -t <formula> -p <formula> -m <letters,comma,separated>\n  revkb-cli postulates --op <operator> [--cases <n>]\n  revkb-cli advise  --op <operator|gfuv|widtio> [--bounded] [--new-letters] [--iterated]\n  revkb-cli serve   [--stdio | --listen ADDR [--io evloop|blocking]]\n  revkb-cli top     ADDR [--interval-ms N] [--iterations N] [--no-clear]\n  revkb-cli trace   ADDR TRACE_ID\n\noperators: winslett borgida forbus satoh dalal weber"
+    "usage:\n  revkb-cli revise  --op <operator> -t <formula> -p <formula> [--models]\n  revkb-cli compile --op <operator> -t <formula> -p <formula> -q <query>\n  revkb-cli compile-seq --op <operator> -t <formula> --ps <p1 ; p2 ; …> -q <query>\n  revkb-cli worlds  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli widtio  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli check   --op <operator> -t <formula> -p <formula> -m <letters,comma,separated>\n  revkb-cli postulates --op <operator> [--cases <n>]\n  revkb-cli advise  --op <operator|gfuv|widtio> [--bounded] [--new-letters] [--iterated]\n  revkb-cli serve   [--stdio | --listen ADDR]\n  revkb-cli top     ADDR [--interval-ms N] [--iterations N] [--no-clear]\n  revkb-cli trace   ADDR TRACE_ID\n\noperators: winslett borgida forbus satoh dalal weber"
 }
 
 /// Parsed flag map: `--key value` and `-k value` pairs.
@@ -80,10 +80,9 @@ fn operator(name: &str) -> Result<ModelBasedOp, String> {
 }
 
 /// `revkb-cli serve`: run the NDJSON revision service (stdio by
-/// default, TCP with `--listen ADDR`). TCP uses the epoll event loop
-/// (with the HTTP gateway) unless `--io blocking` or
-/// `REVKB_SERVER_IO=blocking` picks the thread-per-connection front
-/// end. Tuning comes from the `REVKB_SERVER_*` environment variables.
+/// default, TCP with `--listen ADDR`). TCP uses the epoll event loop,
+/// which also serves the HTTP gateway. Tuning comes from the
+/// `REVKB_SERVER_*` environment variables.
 fn serve(args: &[String]) -> ExitCode {
     use revkb::server::{Server, ServerConfig};
     // `Server::open` honours REVKB_SERVER_DATA_DIR; without it this is
@@ -95,32 +94,20 @@ fn serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let env_io = std::env::var("REVKB_SERVER_IO").unwrap_or_default();
-    let serve_tcp = |addr: &str, io: &str| -> std::io::Result<()> {
+    let serve_listen = |addr: &str| -> std::io::Result<()> {
         let listener = std::net::TcpListener::bind(addr)
             .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
         if let Ok(local) = listener.local_addr() {
             println!("listening {local}");
         }
-        if io == "blocking" {
-            server.serve_tcp(listener)
-        } else {
-            server.serve_event_loop(listener)
-        }
+        server.serve_event_loop(listener)
     };
     let outcome = match args {
         [] => serve_stdio(&server),
         [flag] if flag == "--stdio" => serve_stdio(&server),
-        [flag, addr] if flag == "--listen" => serve_tcp(addr, &env_io),
-        [flag, addr, io_flag, io] if flag == "--listen" && io_flag == "--io" => {
-            if io != "evloop" && io != "blocking" {
-                eprintln!("error: --io needs evloop|blocking");
-                return ExitCode::FAILURE;
-            }
-            serve_tcp(addr, io)
-        }
+        [flag, addr] if flag == "--listen" => serve_listen(addr),
         _ => {
-            eprintln!("usage: revkb-cli serve [--stdio | --listen ADDR [--io evloop|blocking]]");
+            eprintln!("usage: revkb-cli serve [--stdio | --listen ADDR]");
             return ExitCode::FAILURE;
         }
     };

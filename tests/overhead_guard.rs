@@ -15,6 +15,7 @@ use revkb::logic::{Formula, Var};
 use revkb::obs::{self, Counter, TraceMode};
 use revkb::revision::compact::winslett_bounded;
 use revkb::sat::{pseudo_random_formula, PoolConfig, SessionPool};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Hook sites executed per query in the instrumented pipeline,
@@ -28,8 +29,15 @@ const FLOOR_MICROS: u64 = 2_000;
 
 static PROBE: Counter = Counter::new("test.overhead.probe");
 
+/// The trace mode and flight recorder are process-global, and every
+/// test's batch records spans: a batch span closing while the quiet-path
+/// test has the recorder off would land in its count. Tests here must
+/// not interleave.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
 #[test]
 fn disabled_telemetry_stays_under_five_percent() {
+    let _guard = OBS_LOCK.lock().unwrap();
     obs::set_mode(TraceMode::Off);
     obs::reset();
 
@@ -77,6 +85,7 @@ fn disabled_telemetry_stays_under_five_percent() {
 /// must stay inside the same 5% budget as the metric hooks.
 #[test]
 fn flight_and_log_quiet_paths_stay_under_five_percent() {
+    let _guard = OBS_LOCK.lock().unwrap();
     // The same batch workload as above sets the wall-time yardstick.
     let t = Formula::and_all((0..12u32).map(|i| Formula::var(Var(i))));
     let p = Formula::var(Var(0)).not().or(Formula::var(Var(1)).not());
@@ -144,6 +153,7 @@ fn flight_and_log_quiet_paths_stay_under_five_percent() {
 /// thread, deterministic across machines.
 #[test]
 fn sampler_tick_stays_under_five_percent() {
+    let _guard = OBS_LOCK.lock().unwrap();
     use revkb::obs::timeseries::{Observation, SeriesStore, DEFAULT_SERIES_CAPACITY};
 
     // The same batch workload as above sets the wall-time yardstick.

@@ -1,40 +1,33 @@
-//! The epoll event loop front end: pipelining against a sequential
-//! oracle, byte-identical behaviour versus the blocking TCP path
-//! across all eight revision operators, protocol version negotiation,
-//! and the HTTP/1.1 gateway (data-plane routes, keep-alive, and a
-//! malformed-request battery).
+//! The epoll event loop front end: per-connection request order
+//! against one-line-at-a-time oracles (a fixed script across all eight
+//! revision operators, seeded random pipelined scripts, and a burst
+//! followed by a half-close), byte-identical behaviour versus the
+//! stdio transport, protocol version negotiation, and the HTTP/1.1
+//! gateway (data-plane routes, keep-alive, and a malformed-request
+//! battery).
 //!
 //! Every test talks to a real listener over loopback TCP — the same
 //! bytes a foreign client would send — so the serialization boundary
 //! is part of what is under test.
 
+use proptest::prelude::*;
 use revkb::server::{Json, Server, ServerConfig, PROTOCOL_VERSION};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 
 /// The eight revision operators, as on the wire.
 const OPERATORS: [&str; 8] = [
     "winslett", "borgida", "forbus", "satoh", "dalal", "weber", "gfuv", "widtio",
 ];
 
-enum Front {
-    EventLoop,
-    Blocking,
-}
-
-/// Serve a fresh server on a loopback listener; returns the address
+/// Serve a fresh server on a loopback event loop; returns the address
 /// and the join handle (the loop exits after `shutdown`).
-fn spawn_front(front: Front) -> (SocketAddr, std::thread::JoinHandle<()>) {
+fn spawn_evloop() -> (SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::new(ServerConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || match front {
-        Front::EventLoop => {
-            server.serve_event_loop(listener).expect("event loop");
-        }
-        Front::Blocking => {
-            server.serve_tcp(listener).expect("blocking loop");
-        }
+    let handle = std::thread::spawn(move || {
+        server.serve_event_loop(listener).expect("event loop");
     });
     (addr, handle)
 }
@@ -102,89 +95,253 @@ fn differential_script() -> Vec<String> {
     script
 }
 
-/// The event loop and the blocking path answer the differential
-/// script byte-for-byte identically — same envelopes, same `req`
-/// numbering, same error text — across all eight operators.
-#[test]
-fn event_loop_matches_blocking_front_end() {
-    let mut transcripts = Vec::new();
-    for front in [Front::EventLoop, Front::Blocking] {
-        let (addr, handle) = spawn_front(front);
-        let (mut stream, mut reader) = connect(addr);
-        let mut transcript = Vec::new();
-        for line in differential_script() {
-            send_line(&mut stream, &line);
-            transcript.push(read_line(&mut reader));
-        }
-        shutdown(&mut stream, &mut reader);
-        handle.join().expect("serve thread");
-        transcripts.push(transcript);
-    }
-    let (evloop, blocking) = (&transcripts[0], &transcripts[1]);
-    assert_eq!(evloop.len(), blocking.len());
-    for (e, b) in evloop.iter().zip(blocking) {
-        assert_eq!(e, b, "front ends diverged");
+/// The script as one newline-framed burst.
+fn framed(script: &[String]) -> String {
+    script.iter().map(|l| format!("{l}\n")).collect()
+}
+
+/// The script's answers from a fresh server over the stdio transport,
+/// which reads and answers one line at a time.
+fn stdio_transcript(script: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    Server::new(ServerConfig::default())
+        .serve_stdio(framed(script).as_bytes(), &mut out)
+        .expect("stdio session");
+    String::from_utf8(out)
+        .expect("UTF-8 responses")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The script's answers from a fresh event loop, each line sent only
+/// after the previous answer arrived.
+fn sequential_transcript(script: &[String]) -> Vec<String> {
+    let (addr, handle) = spawn_evloop();
+    let (mut stream, mut reader) = connect(addr);
+    let transcript = script
+        .iter()
+        .map(|line| {
+            send_line(&mut stream, line);
+            read_line(&mut reader)
+        })
+        .collect();
+    shutdown(&mut stream, &mut reader);
+    handle.join().expect("serve thread");
+    transcript
+}
+
+/// The script's answers from a fresh event loop, the whole script
+/// written in ONE burst on one connection.
+fn burst_transcript(script: &[String]) -> Vec<String> {
+    let (addr, handle) = spawn_evloop();
+    let (mut stream, mut reader) = connect(addr);
+    stream
+        .write_all(framed(script).as_bytes())
+        .expect("burst write");
+    let transcript = script.iter().map(|_| read_line(&mut reader)).collect();
+    shutdown(&mut stream, &mut reader);
+    handle.join().expect("serve thread");
+    transcript
+}
+
+fn assert_same_lines(got: &[String], want: &[String], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: answer count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g, w, "{what}: answer {i} differs");
     }
 }
 
-/// Pipelining oracle: the whole script sent in ONE write, answers
-/// collected and matched by echoed id against the one-at-a-time
-/// transcript. The event loop may answer out of order (responses are
-/// written in completion order), so the comparison keys on `id` and
-/// checks the `req` ordering is a permutation of 1..=n.
+/// The event loop answers the differential script byte-for-byte like
+/// the stdio transport — same envelopes, same `req` numbering, same
+/// error text — across all eight operators.
+#[test]
+fn event_loop_matches_stdio_transport() {
+    let script = differential_script();
+    assert_same_lines(
+        &sequential_transcript(&script),
+        &stdio_transcript(&script),
+        "event loop vs stdio",
+    );
+}
+
+/// Pipelining oracle: the whole script sent in ONE write comes back
+/// line for line as the one-at-a-time transcript, `req` included —
+/// each connection's requests run and answer in request order.
 #[test]
 fn pipelined_burst_matches_sequential_oracle() {
     let script = differential_script();
+    assert_same_lines(
+        &burst_transcript(&script),
+        &sequential_transcript(&script),
+        "burst vs sequential",
+    );
+}
 
-    // Sequential oracle.
-    let (addr, handle) = spawn_front(Front::EventLoop);
-    let (mut stream, mut reader) = connect(addr);
-    let mut oracle = std::collections::HashMap::new();
-    for line in &script {
-        send_line(&mut stream, line);
-        let resp = read_line(&mut reader);
-        let json = Json::parse(&resp).expect("response is JSON");
-        let id = json
-            .get("id")
-            .and_then(Json::as_str)
-            .expect("echoed id")
-            .to_string();
-        oracle.insert(id, json);
-    }
-    shutdown(&mut stream, &mut reader);
+/// A client that half-closes its write side right after the burst
+/// still gets every answer, in order, before the server closes the
+/// connection.
+#[test]
+fn half_closed_burst_still_gets_every_answer() {
+    let script = differential_script();
+    let (addr, handle) = spawn_evloop();
+    let (mut stream, reader) = connect(addr);
+    stream
+        .write_all(framed(&script).as_bytes())
+        .expect("burst write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let answers: Vec<String> = reader
+        .lines()
+        .map(|line| line.expect("loopback read"))
+        .collect();
+    assert_same_lines(&answers, &stdio_transcript(&script), "half-closed burst");
+
+    let (mut ctl, mut ctl_reader) = connect(addr);
+    shutdown(&mut ctl, &mut ctl_reader);
     handle.join().expect("serve thread");
+}
 
-    // One burst, same script, fresh server.
-    let (addr, handle) = spawn_front(Front::EventLoop);
-    let (mut stream, mut reader) = connect(addr);
-    let burst: String = script.iter().map(|l| format!("{l}\n")).collect();
-    stream.write_all(burst.as_bytes()).expect("burst write");
-    let mut reqs = Vec::new();
-    for _ in 0..script.len() {
-        let resp = read_line(&mut reader);
-        let json = Json::parse(&resp).expect("response is JSON");
-        let id = json
-            .get("id")
-            .and_then(Json::as_str)
-            .expect("echoed id")
-            .to_string();
-        reqs.push(json.get("req").and_then(Json::as_u64).expect("req field"));
-        let expected = oracle.get(&id).unwrap_or_else(|| panic!("unknown id {id}"));
-        // `req` numbering depends on completion order; everything else
-        // must match the sequential answer exactly.
-        let strip = |j: &Json| {
-            let Json::Obj(pairs) = j.clone() else {
-                panic!("envelope is an object")
+/// A burst far larger than the loop buffers per connection: reading
+/// pauses while the backlog waits and resumes as answers go out, and
+/// every answer still arrives in order.
+#[test]
+fn oversized_burst_answers_in_order() {
+    let script: Vec<String> = (0..3000)
+        .map(|i| {
+            let cmd = match i % 3 {
+                0 => r#""cmd":"load","kb":"k","t":"a & b""#,
+                1 => r#""cmd":"query","kb":"k","q":"a""#,
+                _ => r#""cmd":"ping""#,
             };
-            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "req").collect())
-        };
-        assert_eq!(strip(&json), strip(expected), "for id {id}");
-    }
-    // Each request was counted exactly once.
-    reqs.sort_unstable();
-    assert_eq!(reqs, (1..=script.len() as u64).collect::<Vec<_>>());
-    shutdown(&mut stream, &mut reader);
+            format!(r#"{{"id":{i},"trace":"{:x}",{cmd}}}"#, 0x1000 + i)
+        })
+        .collect();
+    let (addr, handle) = spawn_evloop();
+    let (stream, mut reader) = connect(addr);
+    let burst = framed(&script);
+    assert!(burst.len() > 128 * 1024, "burst must overflow the buffer");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let writing = std::thread::spawn(move || writer.write_all(burst.as_bytes()));
+    let answers: Vec<String> = script.iter().map(|_| read_line(&mut reader)).collect();
+    writing.join().expect("writer thread").expect("burst write");
+    assert_same_lines(&answers, &stdio_transcript(&script), "oversized burst");
+
+    let (mut ctl, mut ctl_reader) = connect(addr);
+    shutdown(&mut ctl, &mut ctl_reader);
     handle.join().expect("serve thread");
+}
+
+/// A `replicate` pipelined behind a data request waits for it, then
+/// takes the connection over: the earlier answer goes out first, then
+/// the handshake's (a refusal here, as this server keeps no log), and
+/// the replication stream closes the connection.
+#[test]
+fn replicate_behind_a_pipelined_request_keeps_its_answer() {
+    let (addr, handle) = spawn_evloop();
+    let (mut stream, mut reader) = connect(addr);
+    let burst = concat!(
+        r#"{"id":"first","trace":"1","cmd":"load","kb":"k","t":"a & b"}"#,
+        "\n",
+        r#"{"id":"repl","trace":"2","cmd":"replicate"}"#,
+        "\n",
+    );
+    stream.write_all(burst.as_bytes()).expect("burst write");
+    let first = read_line(&mut reader);
+    assert!(
+        first.contains(r#""id":"first""#) && first.contains(r#""ok":true"#),
+        "{first}"
+    );
+    let repl = read_line(&mut reader);
+    assert!(
+        repl.contains(r#""id":"repl""#) && repl.contains(r#""code":"unsupported""#),
+        "{repl}"
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("loopback read"),
+        0,
+        "{rest}"
+    );
+
+    let (mut ctl, mut ctl_reader) = connect(addr);
+    shutdown(&mut ctl, &mut ctl_reader);
+    handle.join().expect("serve thread");
+}
+
+/// Wire arguments the random scripts draw from: four letters, so
+/// every compile and query stays small.
+const THEORIES: [&str; 4] = ["a & b; b -> c", "a | b; !c", "a; b; c -> d", "!a & (b | c)"];
+const REVISIONS: [&str; 4] = ["!b | !c", "!a", "c & d", "a -> !b"];
+const QUERIES: [&str; 4] = ["a", "b -> c", "!d", "c | d"];
+/// The model-based operators, whose KBs take revision chains.
+const CHAIN_OPERATORS: [&str; 6] = ["winslett", "borgida", "forbus", "satoh", "dalal", "weber"];
+
+/// One random script line: `kind` picks the command (weighted toward
+/// `load` and `revise`), `k` one of three KB names, `x` and `y` its
+/// arguments. Each line carries an explicit
+/// trace id so the answers are deterministic.
+fn script_line(i: usize, (kind, k, x, y): (u8, u8, u8, u8)) -> String {
+    let (k, x, y) = (k as usize, x as usize, y as usize);
+    let head = format!(r#"{{"id":"s{i}","trace":"{:x}","#, 0x1000 + i);
+    let kb = format!("k{k}");
+    let body = match kind {
+        0..=2 => format!(r#""cmd":"load","kb":"{kb}","t":"{}""#, THEORIES[x % 4]),
+        // Mostly the KB's own operator, so chains grow; sometimes
+        // the next one, which a revised KB refuses.
+        3..=6 => {
+            let op = CHAIN_OPERATORS[(k + x / 5) % 6];
+            format!(
+                r#""cmd":"revise","kb":"{kb}","op":"{op}","p":"{}""#,
+                REVISIONS[y]
+            )
+        }
+        7 | 8 => format!(r#""cmd":"query","kb":"{kb}","q":"{}""#, QUERIES[x % 4]),
+        9 => format!(
+            r#""cmd":"query_batch","kb":"{kb}","qs":["{}","{}"]"#,
+            QUERIES[x % 4],
+            QUERIES[y]
+        ),
+        10 => r#""cmd":"list""#.to_string(),
+        11 => format!(r#""cmd":"drop","kb":"{kb}""#),
+        12 if x % 2 == 0 => r#""cmd":"ping""#.to_string(),
+        12 => r#""cmd":"hello""#.to_string(),
+        // Malformed, but still JSON objects: the trace survives the
+        // rejection, and the first line still sniffs as NDJSON.
+        _ => match x % 3 {
+            0 => r#""cmd":"warp""#.to_string(),
+            1 => format!(r#""cmd":"query","kb":"{kb}""#),
+            _ => format!(r#""cmd":"revise","kb":"{kb}","op":"nonsense","p":"a""#),
+        },
+    };
+    format!("{head}{body}}}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        max_shrink_iters: 64,
+        ..ProptestConfig::default()
+    })]
+
+    /// Random pipelined scripts over three KBs (seeded by
+    /// `REVKB_PROP_SEED`): one burst on one connection answers byte
+    /// for byte like a fresh server answering one line at a time.
+    #[test]
+    fn random_bursts_match_one_at_a_time_transcript(
+        steps in proptest::collection::vec((0u8..14, 0u8..3, 0u8..6, 0u8..4), 20..61)
+    ) {
+        let script: Vec<String> = steps
+            .into_iter()
+            .enumerate()
+            .map(|(i, step)| script_line(i, step))
+            .collect();
+        let burst = burst_transcript(&script);
+        let oracle = stdio_transcript(&script);
+        prop_assert_eq!(burst.len(), oracle.len());
+        for (i, (got, want)) in burst.iter().zip(&oracle).enumerate() {
+            prop_assert_eq!(got, want, "answer {} to {}", i, &script[i]);
+        }
+    }
 }
 
 /// `hello` negotiation and the `v` field: in-range versions answered,
@@ -192,7 +349,7 @@ fn pipelined_burst_matches_sequential_oracle() {
 /// stamped with the current protocol version.
 #[test]
 fn version_negotiation() {
-    let (addr, handle) = spawn_front(Front::EventLoop);
+    let (addr, handle) = spawn_evloop();
     let (mut stream, mut reader) = connect(addr);
 
     send_line(&mut stream, r#"{"id":1,"cmd":"hello"}"#);
@@ -308,7 +465,7 @@ mod http_gateway {
     /// the same listener.
     #[test]
     fn gateway_routes_answer_the_data_plane() {
-        let (addr, handle) = spawn_front(Front::EventLoop);
+        let (addr, handle) = spawn_evloop();
         let (mut stream, mut reader) = connect(addr);
 
         post(&mut stream, "/v1/load", r#"{"kb":"k","t":"a & b; b -> c"}"#);
@@ -419,7 +576,7 @@ mod http_gateway {
                 413,
             ),
         ];
-        let (addr, handle) = spawn_front(Front::EventLoop);
+        let (addr, handle) = spawn_evloop();
         for (bytes, expected) in cases {
             let (mut stream, mut reader) = connect(addr);
             stream.write_all(bytes).expect("malformed write");
@@ -454,7 +611,7 @@ mod http_gateway {
     /// connection, and both kinds run concurrently on one listener.
     #[test]
     fn line_and_http_clients_share_the_listener() {
-        let (addr, handle) = spawn_front(Front::EventLoop);
+        let (addr, handle) = spawn_evloop();
 
         let (mut line_conn, mut line_reader) = connect(addr);
         send_line(&mut line_conn, r#"{"cmd":"load","kb":"s","t":"a"}"#);

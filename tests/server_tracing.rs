@@ -119,6 +119,9 @@ fn chrome_spans_correlate_with_wire_request_ids() {
 /// `slow_log` with its request id and command tag.
 #[test]
 fn slow_log_captures_a_degraded_compile() {
+    // Its `server.*` spans would land in a concurrent Chrome-mode
+    // test's buffer.
+    let _guard = OBS_LOCK.lock().unwrap();
     let server = Server::new(
         ServerConfig::default()
             .with_compile_timeout_ms(Some(0))
