@@ -5,8 +5,10 @@
 //! visible alongside the timeline. Everything lives under `pid` 1 with
 //! `tid` equal to the recording thread's ordinal.
 
+use crate::json::escape_into;
 use crate::snapshot::Snapshot;
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Environment variable naming the trace output file (default
@@ -31,17 +33,21 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
             out.push(',');
         }
         first = false;
+        out.push_str("{\"name\":");
+        escape_into(s.name, &mut out);
         // ts/dur are microseconds (floats allowed; we emit integers).
-        out.push_str(&format!(
-            "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}",
-            json_str(s.name),
+        let _ = write!(
+            out,
+            ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}",
             s.thread,
             s.start_ns / 1_000,
             (s.dur_ns / 1_000).max(1),
             s.depth
-        ));
+        );
         for (k, v) in &s.attrs {
-            out.push_str(&format!(",{}:{}", json_str(k), v));
+            out.push(',');
+            escape_into(k, &mut out);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("}}");
     }
@@ -55,14 +61,16 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
         if !first {
             out.push(',');
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"name\":\"revkb counters\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"args\":{{"
-        ));
+        );
         for (i, (name, v)) in snap.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_str(name), v));
+            escape_into(name, &mut out);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("}}");
     }
@@ -80,24 +88,9 @@ pub fn write_chrome_trace(path: &Path, snap: &Snapshot) -> std::io::Result<()> {
     f.sync_all()
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::TraceMode;
+    use crate::{Json, TraceMode};
 
     static CHROME_C: crate::Counter = crate::Counter::new("chrome.test.counter");
 
@@ -114,7 +107,8 @@ mod tests {
         let snap = crate::drain();
         crate::set_mode(TraceMode::Off);
         let trace = super::chrome_trace(&snap);
-        assert!(crate::validate_json(&trace), "invalid trace: {trace}");
+        let parsed = Json::parse(&trace).unwrap_or_else(|e| panic!("invalid trace ({e}): {trace}"));
+        assert!(parsed.get("traceEvents").and_then(Json::as_array).is_some());
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"chrome.test.root\""));
         assert!(trace.contains("\"chrome.test.child\""));
@@ -136,7 +130,7 @@ mod tests {
         super::write_chrome_trace(&path, &snap).unwrap();
         let on_disk = std::fs::read_to_string(&path).unwrap();
         assert_eq!(on_disk, super::chrome_trace(&snap));
-        assert!(crate::validate_json(&on_disk));
+        assert!(Json::parse(&on_disk).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -35,6 +35,20 @@
 //! ([`new_trace_id`], [`parse_traceparent`]) join spans, log records,
 //! and wire envelopes into one per-request story.
 //!
+//! ## JSON
+//!
+//! [`json`] is the workspace's only JSON codec; the server's wire
+//! protocol, the bench reports, and this crate's snapshots, traces and
+//! logs all use it. Its contract:
+//!
+//! - [`Json::render`] is compact, single-line, and keeps object keys in
+//!   insertion order, so wire bytes are deterministic;
+//! - [`Json::pretty`] is the two-space layout of the report files;
+//! - [`Json::parse`] takes untrusted input: strict RFC 8259 grammar,
+//!   linear time, and a 64-level nesting bound;
+//! - [`json::escape_into`] lets streaming producers ([`chrome_trace`],
+//!   [`LogRecord::render_json`]) write strings straight into a buffer.
+//!
 //! ## Cost when disabled
 //!
 //! Every instrument call starts with one relaxed atomic load of the
@@ -66,8 +80,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod chrome;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod snapshot;
@@ -75,8 +89,8 @@ pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-pub use check::validate_json;
 pub use chrome::{chrome_trace, trace_file_path, write_chrome_trace, TRACE_FILE_ENV};
+pub use json::Json;
 pub use log::{
     clear_log_file, debug, error, info, log, log_enabled, log_level, log_ring_reset,
     log_ring_snapshot, set_log_file, set_log_level, warn, Level, LogRecord, LOG_ENV,

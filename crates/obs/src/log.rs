@@ -153,28 +153,10 @@ impl LogRecord {
             line.push('"');
         }
         line.push_str(",\"msg\":");
-        escape_json_str(&self.msg, &mut line);
+        crate::json::escape_into(&self.msg, &mut line);
         line.push('}');
         line
     }
-}
-
-fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 static RING: Mutex<VecDeque<LogRecord>> = Mutex::new(VecDeque::new());
@@ -349,8 +331,14 @@ mod tests {
             plain.render_json(),
             r#"{"ts":1,"level":"info","target":"server","msg":"up"}"#
         );
-        assert!(crate::validate_json(&record.render_json()));
-        assert!(crate::validate_json(&plain.render_json()));
+        assert_eq!(
+            crate::Json::parse(&record.render_json())
+                .unwrap()
+                .get("msg")
+                .and_then(crate::Json::as_str),
+            Some("say \"hi\"\n")
+        );
+        assert!(crate::Json::parse(&plain.render_json()).is_ok());
     }
 
     #[test]
@@ -371,7 +359,7 @@ mod tests {
         let lines: Vec<&str> = body.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
-            assert!(crate::validate_json(line), "not JSON: {line}");
+            assert!(crate::Json::parse(line).is_ok(), "not JSON: {line}");
         }
         assert!(lines[0].contains("\"trace\":\"0000000000001234\""));
         assert!(lines[1].contains("\"level\":\"warn\""));

@@ -1,5 +1,6 @@
 //! Draining the registry and span buffers into a [`Snapshot`].
 
+use crate::json::Json;
 use crate::metrics::{COUNTERS, GAUGES, HISTOGRAMS};
 use crate::span::{SpanEvent, AGGS, EVENTS};
 use crate::TraceMode;
@@ -96,143 +97,76 @@ impl Snapshot {
             && self.spans.is_empty()
     }
 
-    /// Render the snapshot as a single-line JSON object with sorted
-    /// keys: `mode`, `counters`, `gauges`, `histograms`,
-    /// `span_aggregates`, and a nested `span_tree`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        out.push_str("\"mode\":");
-        push_json_str(&mut out, self.mode.name());
-        out.push_str(",\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, h.name);
-            let (p50, p95, p99) = (
-                h.percentile(0.50).unwrap_or(0),
-                h.percentile(0.95).unwrap_or(0),
-                h.percentile(0.99).unwrap_or(0),
-            );
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"buckets\":{{",
-                h.count, h.sum, h.max
-            ));
-            for (j, (b, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{b}\":{n}"));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("},\"span_aggregates\":{");
-        for (i, a) in self.span_aggregates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, a.name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
-                a.count, a.total_ns, a.max_ns
-            ));
-        }
-        out.push_str("},\"span_tree\":");
-        self.push_span_tree(&mut out);
-        out.push('}');
-        out
+    /// The snapshot as a JSON object with keys `mode`, `counters`,
+    /// `gauges`, `histograms`, `span_aggregates` (each keyed by sorted
+    /// instrument name), and a nested `span_tree`.
+    pub fn to_json(&self) -> Json {
+        let num = |x: u64| Json::Num(x as f64);
+        let named = |pairs: &[(&'static str, u64)]| {
+            Json::obj(pairs.iter().map(|&(name, v)| (name, num(v))))
+        };
+        let histograms = self.histograms.iter().map(|h| {
+            let pct = |p| num(h.percentile(p).unwrap_or(0));
+            let buckets = h.buckets.iter().map(|&(b, n)| (b.to_string(), num(n)));
+            let fields = Json::obj([
+                ("count", num(h.count)),
+                ("sum", num(h.sum)),
+                ("max", num(h.max)),
+                ("p50", pct(0.50)),
+                ("p95", pct(0.95)),
+                ("p99", pct(0.99)),
+                ("buckets", Json::Obj(buckets.collect())),
+            ]);
+            (h.name, fields)
+        });
+        let span_aggregates = self.span_aggregates.iter().map(|a| {
+            let fields = Json::obj([
+                ("count", num(a.count)),
+                ("total_ns", num(a.total_ns)),
+                ("max_ns", num(a.max_ns)),
+            ]);
+            (a.name, fields)
+        });
+        // Spans are sorted by (thread, start_ns); a root is any span
+        // without a parent, and its subtree hangs off parent links.
+        let roots = (0..self.spans.len()).filter(|&i| self.spans[i].parent.is_none());
+        Json::obj([
+            ("mode", Json::str(self.mode.name())),
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
+            ("histograms", Json::obj(histograms)),
+            ("span_aggregates", Json::obj(span_aggregates)),
+            (
+                "span_tree",
+                Json::Arr(roots.map(|i| self.span_node(i)).collect()),
+            ),
+        ])
     }
 
-    /// Render the span events as a forest nested by parent links,
-    /// one entry per root span, children ordered by start time.
-    fn push_span_tree(&self, out: &mut String) {
-        out.push('[');
-        let mut first = true;
-        // Spans are sorted by (thread, start_ns); within one thread a
-        // parent always starts before its children, so a stack walk
-        // reconstructs the nesting.
-        for root_idx in 0..self.spans.len() {
-            let root = &self.spans[root_idx];
-            if root.parent.is_some() {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            self.push_span_node(out, root_idx);
-        }
-        out.push(']');
-    }
-
-    fn push_span_node(&self, out: &mut String, idx: usize) {
+    /// One span and its children (ordered by start time), nested by
+    /// parent links.
+    fn span_node(&self, idx: usize) -> Json {
         let s = &self.spans[idx];
-        out.push_str("{\"name\":");
-        push_json_str(out, s.name);
-        out.push_str(&format!(
-            ",\"thread\":{},\"start_ns\":{},\"dur_ns\":{}",
-            s.thread, s.start_ns, s.dur_ns
-        ));
+        let num = |x: u64| Json::Num(x as f64);
+        let mut fields = vec![
+            ("name", Json::str(s.name)),
+            ("thread", num(s.thread)),
+            ("start_ns", num(s.start_ns)),
+            ("dur_ns", num(s.dur_ns)),
+        ];
         if !s.attrs.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (k, v)) in s.attrs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(out, k);
-                out.push(':');
-                out.push_str(&v.to_string());
-            }
-            out.push('}');
+            let attrs = s.attrs.iter().map(|&(k, v)| (k, num(v)));
+            fields.push(("attrs", Json::obj(attrs)));
         }
-        out.push_str(",\"children\":[");
-        let mut first = true;
-        for (j, c) in self.spans.iter().enumerate() {
-            if c.thread == s.thread && c.parent == Some(s.id) {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                self.push_span_node(out, j);
-            }
-        }
-        out.push_str("]}");
+        let children = self
+            .spans
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.thread == s.thread && c.parent == Some(s.id))
+            .map(|(j, _)| self.span_node(j));
+        fields.push(("children", Json::Arr(children.collect())));
+        Json::obj(fields)
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Non-destructive copy of everything recorded so far. Spans still
@@ -331,7 +265,7 @@ pub fn reset() {
 
 #[cfg(test)]
 mod tests {
-    use crate::TraceMode;
+    use crate::{Json, TraceMode};
 
     static SNAP_C: crate::Counter = crate::Counter::new("snapshot.test.counter");
     static SNAP_H: crate::Histogram = crate::Histogram::new("snapshot.test.hist");
@@ -353,8 +287,9 @@ mod tests {
         assert_eq!(snap.counter("snapshot.test.missing"), None);
         assert_eq!(snap.histogram("snapshot.test.hist").unwrap().count, 1);
         assert_eq!(snap.span_aggregate("snapshot.test.root").unwrap().count, 1);
-        let json = snap.to_json();
-        assert!(crate::validate_json(&json), "invalid JSON: {json}");
+        let json = snap.to_json().render();
+        let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("invalid JSON ({e}): {json}"));
+        assert_eq!(parsed, snap.to_json());
         assert!(json.contains("\"snapshot.test.counter\":7"));
         assert!(json.contains("\"span_tree\":"));
         assert!(json.contains("\"snapshot.test.child\""));

@@ -1,6 +1,7 @@
 //! The result type of a compact construction.
 
 use revkb_logic::{Formula, Var};
+use revkb_obs::Json;
 use revkb_sat::{PoolConfig, PoolStats, QuerySession, SessionPool, SolverStats};
 use std::cell::RefCell;
 
@@ -66,21 +67,22 @@ impl EngineStats {
         merged
     }
 
-    /// Render as a JSON object: `session` and `pool` (each an object
-    /// or `null`) plus the `merged` fold.
-    pub fn to_json(&self) -> String {
-        let session = self
-            .session
-            .as_ref()
-            .map_or_else(|| "null".to_string(), SolverStats::to_json);
-        let pool = self
-            .pool
-            .as_ref()
-            .map_or_else(|| "null".to_string(), PoolStats::to_json);
-        format!(
-            "{{\"session\":{session},\"pool\":{pool},\"merged\":{}}}",
-            self.merged().to_json()
-        )
+    /// The stats as a JSON object: `session` and `pool` (each an
+    /// object or `null`) plus the `merged` fold.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "session",
+                self.session
+                    .as_ref()
+                    .map_or(Json::Null, SolverStats::to_json),
+            ),
+            (
+                "pool",
+                self.pool.as_ref().map_or(Json::Null, PoolStats::to_json),
+            ),
+            ("merged", self.merged().to_json()),
+        ])
     }
 }
 

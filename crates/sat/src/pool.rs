@@ -29,6 +29,7 @@
 
 use crate::session::{QuerySession, SolverStats};
 use revkb_logic::Formula;
+use revkb_obs::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -123,31 +124,25 @@ impl PoolStats {
         self.merged().total_query_micros
     }
 
-    /// Render as a JSON object (stable key order, no dependencies).
-    pub fn to_json(&self) -> String {
-        let per_worker = self
-            .per_worker
-            .iter()
-            .map(SolverStats::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"threads\":{},\"batches\":{},\"parallel_batches\":{},\
-             \"sequential_batches\":{},\"queries\":{},\
-             \"cpu_time_total_micros\":{},\"wall_time_micros\":{},\
-             \"last_batch_wall_micros\":{},\"merged\":{},\
-             \"per_worker\":[{}]}}",
-            self.threads,
-            self.batches,
-            self.parallel_batches,
-            self.sequential_batches,
-            self.queries,
-            self.cpu_time_total_micros(),
-            self.wall_time_micros,
-            self.last_batch_wall_micros,
-            self.merged().to_json(),
-            per_worker,
-        )
+    /// The pool counters as a JSON object: batch counts, CPU-vs-wall
+    /// time, the `merged` fold, and one block per worker.
+    pub fn to_json(&self) -> Json {
+        let num = |x: u64| Json::Num(x as f64);
+        Json::obj([
+            ("threads", num(self.threads as u64)),
+            ("batches", num(self.batches)),
+            ("parallel_batches", num(self.parallel_batches)),
+            ("sequential_batches", num(self.sequential_batches)),
+            ("queries", num(self.queries)),
+            ("cpu_time_total_micros", num(self.cpu_time_total_micros())),
+            ("wall_time_micros", num(self.wall_time_micros)),
+            ("last_batch_wall_micros", num(self.last_batch_wall_micros)),
+            ("merged", self.merged().to_json()),
+            (
+                "per_worker",
+                Json::Arr(self.per_worker.iter().map(SolverStats::to_json).collect()),
+            ),
+        ])
     }
 }
 
@@ -433,7 +428,7 @@ mod tests {
     fn pool_stats_json_shape() {
         let mut pool = SessionPool::with_config(&v(0), PoolConfig::with_threads(2));
         pool.entails_batch(&[v(0)]);
-        let j = pool.stats().to_json();
+        let j = pool.stats().to_json().render();
         for key in [
             "\"threads\":2",
             "\"batches\":1",

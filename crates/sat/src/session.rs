@@ -23,6 +23,7 @@
 use crate::api::supply_above;
 use crate::solver::Solver;
 use revkb_logic::{tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, VarSupply};
+use revkb_obs::Json;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -103,28 +104,24 @@ impl SolverStats {
         self.last_query_micros = self.last_query_micros.max(other.last_query_micros);
     }
 
-    /// Render as a JSON object (stable key order, no dependencies).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"queries\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"base_loads\":{},\"solver_constructions\":{},\
-             \"decisions\":{},\"conflicts\":{},\"propagations\":{},\
-             \"restarts\":{},\"learnt_clauses\":{},\"learnts_removed\":{},\
-             \"total_query_micros\":{},\"last_query_micros\":{}}}",
-            self.queries,
-            self.cache_hits,
-            self.cache_misses,
-            self.base_loads,
-            self.solver_constructions,
-            self.decisions,
-            self.conflicts,
-            self.propagations,
-            self.restarts,
-            self.learnt_clauses,
-            self.learnts_removed,
-            self.total_query_micros,
-            self.last_query_micros,
-        )
+    /// The counters as a JSON object, in field order.
+    pub fn to_json(&self) -> Json {
+        let num = |x: u64| Json::Num(x as f64);
+        Json::obj([
+            ("queries", num(self.queries)),
+            ("cache_hits", num(self.cache_hits)),
+            ("cache_misses", num(self.cache_misses)),
+            ("base_loads", num(self.base_loads)),
+            ("solver_constructions", num(self.solver_constructions)),
+            ("decisions", num(self.decisions)),
+            ("conflicts", num(self.conflicts)),
+            ("propagations", num(self.propagations)),
+            ("restarts", num(self.restarts)),
+            ("learnt_clauses", num(self.learnt_clauses)),
+            ("learnts_removed", num(self.learnts_removed)),
+            ("total_query_micros", num(self.total_query_micros)),
+            ("last_query_micros", num(self.last_query_micros)),
+        ])
     }
 }
 

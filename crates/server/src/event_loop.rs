@@ -100,10 +100,10 @@ mod linux {
     use std::time::{Duration, Instant};
 
     use crate::http;
-    use crate::json::Json;
     use crate::protocol::{parse_request, Request};
     use crate::server::{Routing, Server};
     use revkb_obs as obs;
+    use revkb_obs::Json;
 
     /// Thin wrappers over the epoll and rlimit syscalls — the only
     /// `unsafe` in the workspace. No libc crate: the symbols are

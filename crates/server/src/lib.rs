@@ -8,10 +8,9 @@
 //! amortises exactly the cost the compact-representation theorems
 //! bound.
 //!
-//! The pieces:
+//! The pieces (JSON itself is the workspace codec in `revkb-obs`,
+//! re-exported here as [`Json`]):
 //!
-//! - [`json`]: a dependency-free strict JSON parser/emitter (the
-//!   workspace builds offline; no serde);
 //! - [`protocol`]: the NDJSON request/response envelope, command set
 //!   and stable error codes;
 //! - [`registry`]: named [`registry::KbState`]s plus the
@@ -51,7 +50,6 @@
 
 pub mod event_loop;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod registry;
@@ -60,9 +58,9 @@ pub mod server;
 pub mod wal;
 
 pub use http::METRICS_ADDR_ENV;
-pub use json::Json;
 pub use protocol::{Command, OpName, Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use registry::{cache_key, parse_canonical, Artifact, ArtifactCache, KbKind, KbState};
 pub use replica::ReplStatus;
+pub use revkb_obs::json::Json;
 pub use server::{Server, ServerConfig};
 pub use wal::{RecoveryReport, SyncMode, WalOp};

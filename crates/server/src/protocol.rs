@@ -21,8 +21,8 @@
 //! See `crates/server/PROTOCOL.md` for the full command reference with
 //! examples.
 
-use crate::json::Json;
 use revkb_obs as obs;
+use revkb_obs::Json;
 use revkb_revision::{Backend, ModelBasedOp};
 
 /// The protocol version this server speaks. Every response envelope
@@ -233,10 +233,10 @@ impl Command {
 }
 
 /// Why a request line could not be turned into a [`Request`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestError {
     /// The echoable id, if the line parsed far enough to have one.
-    pub id: Option<String>,
+    pub id: Option<Json>,
     /// The client's trace id, if the line parsed far enough to carry
     /// a well-formed one — salvaged like `id`, so even a rejected
     /// request joins the trace the client asked for.
@@ -265,7 +265,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         .and_then(Json::as_str)
         .and_then(obs::parse_trace_id);
     let fail = |message: String| RequestError {
-        id: id.as_ref().map(Json::render),
+        id: id.clone(),
         trace: salvaged_trace,
         message,
     };
@@ -456,7 +456,7 @@ impl Response {
     /// Render the one-line wire form (no trailing newline).
     pub fn render(&self) -> String {
         match &self.result {
-            Ok(result) => ok_response(&self.id, self.req, self.trace, result.clone()),
+            Ok(result) => ok_response(&self.id, self.req, self.trace, result),
             Err((code, message)) => err_response(&self.id, self.req, self.trace, code, message),
         }
     }
@@ -465,32 +465,46 @@ impl Response {
 /// Render a success response line (no trailing newline). `req` is the
 /// server-assigned monotonic request id and `trace` the trace id, both
 /// echoed for telemetry correlation.
-pub fn ok_response(id: &Option<Json>, req: u64, trace: u64, result: Json) -> String {
-    Json::obj([
-        ("v", Json::Num(PROTOCOL_VERSION as f64)),
-        ("id", id.clone().unwrap_or(Json::Null)),
-        ("req", Json::Num(req as f64)),
-        ("trace", Json::Str(obs::format_trace_id(trace))),
-        ("ok", Json::Bool(true)),
-        ("result", result),
-    ])
-    .render()
+pub fn ok_response(id: &Option<Json>, req: u64, trace: u64, result: &Json) -> String {
+    envelope(
+        id,
+        req,
+        trace,
+        &[("ok", &Json::Bool(true)), ("result", result)],
+    )
 }
 
 /// Render an error response line (no trailing newline). `req` is the
 /// server-assigned monotonic request id and `trace` the trace id, both
 /// echoed for telemetry correlation.
 pub fn err_response(id: &Option<Json>, req: u64, trace: u64, code: &str, message: &str) -> String {
-    Json::obj([
-        ("v", Json::Num(PROTOCOL_VERSION as f64)),
-        ("id", id.clone().unwrap_or(Json::Null)),
-        ("req", Json::Num(req as f64)),
-        ("trace", Json::Str(obs::format_trace_id(trace))),
-        ("ok", Json::Bool(false)),
-        ("code", Json::str(code)),
-        ("error", Json::str(message)),
-    ])
-    .render()
+    envelope(
+        id,
+        req,
+        trace,
+        &[
+            ("ok", &Json::Bool(false)),
+            ("code", &Json::str(code)),
+            ("error", &Json::str(message)),
+        ],
+    )
+}
+
+/// The one envelope writer: `v`, `id`, `req` and `trace`, then the
+/// outcome fields. The result is rendered in place, not cloned.
+fn envelope(id: &Option<Json>, req: u64, trace: u64, outcome: &[(&str, &Json)]) -> String {
+    let version = Json::Num(PROTOCOL_VERSION as f64);
+    let null = Json::Null;
+    let req = Json::Num(req as f64);
+    let trace = Json::Str(obs::format_trace_id(trace));
+    let mut fields = vec![
+        ("v", &version),
+        ("id", id.as_ref().unwrap_or(&null)),
+        ("req", &req),
+        ("trace", &trace),
+    ];
+    fields.extend_from_slice(outcome);
+    Json::render_fields(&fields)
 }
 
 #[cfg(test)]
@@ -625,7 +639,7 @@ mod tests {
     #[test]
     fn error_keeps_echoable_id() {
         let err = parse_request(r#"{"id":42,"cmd":"nope"}"#).unwrap_err();
-        assert_eq!(err.id.as_deref(), Some("42"));
+        assert_eq!(err.id, Some(Json::Num(42.0)));
         let err = parse_request("not json").unwrap_err();
         assert_eq!(err.id, None);
     }
@@ -637,7 +651,7 @@ mod tests {
                 &Some(Json::Num(1.0)),
                 3,
                 0xabc,
-                Json::obj([("pong", Json::Bool(true))])
+                &Json::obj([("pong", Json::Bool(true))])
             ),
             r#"{"v":2,"id":1,"req":3,"trace":"0000000000000abc","ok":true,"result":{"pong":true}}"#
         );
@@ -659,7 +673,7 @@ mod tests {
         assert_eq!(ok.code(), None);
         assert_eq!(
             ok.render(),
-            ok_response(&ok.id, 3, 7, Json::obj([("pong", Json::Bool(true))]))
+            ok_response(&ok.id, 3, 7, &Json::obj([("pong", Json::Bool(true))]))
         );
         let err = Response::err(None, 4, 7, codes::TIMEOUT, "too slow");
         assert!(!err.is_ok());

@@ -27,11 +27,10 @@
 //! returned by `stats`.
 
 use crate::http;
-use crate::json::Json;
 use crate::metrics::{self, ServerCounters};
 use crate::protocol::{
-    codes, parse_request, Command, OpName, Request, RequestError, Response, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    codes, err_response, parse_request, Command, OpName, Request, RequestError, Response,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::registry::{
     cache_key, formula_size, Artifact, ArtifactCache, KbKind, KbProfile, KbState,
@@ -43,6 +42,7 @@ use crate::replica::{
 use crate::wal::{decode_records, RecoveryReport, SyncMode, Wal, WalOp, LOG_MAGIC, SNAPSHOT_FILE};
 use revkb_logic::{parse as parse_formula, Formula, Signature};
 use revkb_obs as obs;
+use revkb_obs::Json;
 use revkb_revision::api::Engine;
 use revkb_revision::{
     widtio, Backend, DelayedKb, Error, GfuvEngine, ModelBasedOp, RevisedKb, Theory, WidtioEngine,
@@ -887,7 +887,7 @@ impl Server {
         let response = {
             let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);
             self.inner.counters.error();
-            bad_request_response(err, req, trace)
+            err_response(&err.id, req, trace, codes::BAD_REQUEST, &err.message)
         };
         self.note_request("bad_request", req, trace, started);
         response
@@ -3336,18 +3336,6 @@ fn operator_mismatch(prev: ModelBasedOp, requested: OpName) -> ExecError {
             OpName::Model(prev).tag(),
             requested.tag()
         ),
-    )
-}
-
-/// Render a `bad_request` response reusing the already-rendered id
-/// from a [`RequestError`] (the id is valid JSON by construction).
-fn bad_request_response(err: &RequestError, req: u64, trace: u64) -> String {
-    let id = err.id.clone().unwrap_or_else(|| "null".to_string());
-    format!(
-        "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"req\":{req},\"trace\":\"{}\",\"ok\":false,\"code\":\"{}\",\"error\":{}}}",
-        obs::format_trace_id(trace),
-        codes::BAD_REQUEST,
-        Json::str(&err.message).render()
     )
 }
 

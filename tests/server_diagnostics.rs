@@ -231,7 +231,7 @@ fn log_ring_is_bounded_and_filters_by_level() {
     );
     for r in &ring {
         assert!(
-            obs::validate_json(&r.render_json()),
+            Json::parse(&r.render_json()).is_ok(),
             "{:?}",
             r.render_json()
         );
@@ -282,7 +282,6 @@ fn debug_routes_answer_valid_json_under_churn() {
     // /debug/trace.json: a valid Chrome trace with the query spans.
     let resp = server.metrics_route("/debug/trace.json", "");
     assert_eq!(resp.status, 200);
-    assert!(obs::validate_json(&resp.body), "{}", resp.body);
     let doc = Json::parse(&resp.body).expect("chrome trace parses");
     let events = doc
         .get("traceEvents")

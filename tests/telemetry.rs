@@ -8,7 +8,7 @@
 //! on [`LOCK`] and starts from `reset()`.
 
 use revkb::logic::{Formula, Var};
-use revkb::obs::{self, Counter, TraceMode};
+use revkb::obs::{self, Counter, Json, TraceMode};
 use revkb::revision::{compact::CompactRep, DelayedKb, ModelBasedOp, RevisedKb};
 use revkb::sat::{PoolConfig, SessionPool};
 use std::sync::Mutex;
@@ -139,8 +139,10 @@ fn span_nesting_is_physically_consistent() {
         assert!(child.start_ns >= parent.start_ns, "child precedes parent");
         assert_eq!(child.depth, parent.depth + 1);
     }
-    let json = snap.to_json();
-    assert!(obs::validate_json(&json), "snapshot JSON invalid: {json}");
+    let json = snap.to_json().render();
+    let parsed =
+        Json::parse(&json).unwrap_or_else(|e| panic!("snapshot JSON invalid ({e}): {json}"));
+    assert_eq!(parsed, snap.to_json());
 }
 
 #[test]
@@ -156,7 +158,7 @@ fn chrome_trace_export_is_valid_json() {
     obs::set_mode(TraceMode::Off);
 
     let trace = obs::chrome_trace(&snap);
-    assert!(obs::validate_json(&trace), "chrome trace invalid: {trace}");
+    assert!(Json::parse(&trace).is_ok(), "chrome trace invalid: {trace}");
     assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("\"ph\":\"X\""));
     assert!(trace.contains("sat.query"));
@@ -191,6 +193,6 @@ fn stats_shape_is_uniform_across_engines() {
     // All three merge the same way.
     for stats in [rep.stats(), kb.stats(), delayed.stats()] {
         assert_eq!(stats.merged().queries, 1);
-        assert!(stats.to_json().starts_with("{\"session\":"));
+        assert!(stats.to_json().render().starts_with("{\"session\":"));
     }
 }
