@@ -5,9 +5,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revkb_logic::{Formula, Var};
 use revkb_revision::compact::{
-    dalal_compact_auto, dalal_iterated_auto, forbus_bounded, satoh_bounded, weber_compact_auto,
-    weber_iterated_auto, winslett_bounded, winslett_iterated_auto,
+    dalal_compact_auto, forbus_bounded, satoh_bounded, weber_compact_auto, winslett_bounded,
 };
+use revkb_revision::{ModelBasedOp, RevisedKb};
+
+fn chain_size(op: ModelBasedOp, t: &Formula, ps: &[Formula]) -> usize {
+    RevisedKb::compile_iterated(op, t, ps).unwrap().size()
+}
 
 fn chain_inputs(n: u32) -> (Formula, Formula) {
     let t = Formula::and_all((0..n).map(|i| Formula::var(Var(i))));
@@ -54,13 +58,13 @@ fn bench_iterated(c: &mut Criterion) {
             .map(|i| Formula::var(Var((i % 6) as u32)).not())
             .collect();
         group.bench_with_input(BenchmarkId::new("dalal_phi_m", m), &ps, |b, ps| {
-            b.iter(|| dalal_iterated_auto(&t, ps).size())
+            b.iter(|| chain_size(ModelBasedOp::Dalal, &t, ps))
         });
         group.bench_with_input(BenchmarkId::new("weber_f10", m), &ps, |b, ps| {
-            b.iter(|| weber_iterated_auto(&t, ps).unwrap().size())
+            b.iter(|| chain_size(ModelBasedOp::Weber, &t, ps))
         });
         group.bench_with_input(BenchmarkId::new("winslett_f16", m), &ps, |b, ps| {
-            b.iter(|| winslett_iterated_auto(&t, ps).size())
+            b.iter(|| chain_size(ModelBasedOp::Winslett, &t, ps))
         });
     }
     group.finish();

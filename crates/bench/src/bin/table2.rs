@@ -18,11 +18,10 @@ use revkb_bench::{
 };
 use revkb_instances::{all_instances, gamma_max, Thm36Family};
 use revkb_logic::{Alphabet, Formula, Var};
-use revkb_revision::compact::{
-    borgida_iterated_auto, dalal_iterated_auto, forbus_iterated_auto, satoh_iterated_auto,
-    weber_iterated_auto, winslett_iterated_auto, CompactRep,
+use revkb_revision::compact::CompactRep;
+use revkb_revision::{
+    query_equivalent_enum, revise_iterated_on, widtio, ModelBasedOp, RevisedKb, Theory,
 };
-use revkb_revision::{query_equivalent_enum, revise_iterated_on, widtio, ModelBasedOp, Theory};
 
 fn main() {
     let columns = ["Gen/Logical", "Gen/Query", "Bnd/Logical", "Bnd/Query"];
@@ -207,14 +206,8 @@ fn workload(m: usize) -> (Formula, Vec<Formula>) {
 }
 
 fn build_iterated(op: ModelBasedOp, t: &Formula, ps: &[Formula]) -> Option<CompactRep> {
-    match op {
-        ModelBasedOp::Dalal => Some(dalal_iterated_auto(t, ps)),
-        ModelBasedOp::Weber => weber_iterated_auto(t, ps),
-        ModelBasedOp::Winslett => Some(winslett_iterated_auto(t, ps)),
-        ModelBasedOp::Borgida => Some(borgida_iterated_auto(t, ps)),
-        ModelBasedOp::Forbus => Some(forbus_iterated_auto(t, ps)),
-        ModelBasedOp::Satoh => satoh_iterated_auto(t, ps),
-    }
+    let kb = RevisedKb::compile_iterated(op, t, ps).ok()?;
+    Some(kb.representation().clone())
 }
 
 /// A general-case (unbounded-P allowed) iterated YES cell — Dalal's

@@ -107,12 +107,12 @@ pub fn advise(op: OperatorKind, profile: Profile) -> Advice {
                 (false, true, _) if global_query => Compactable {
                     construction: if mb == ModelBasedOp::Dalal {
                         if profile.iterated {
-                            "Φₘ: chained T[X/Y] ∧ Pⁱ ∧ EXA(kᵢ) (dalal_iterated)"
+                            "Φₘ: chained T[X/Y] ∧ Pⁱ ∧ EXA(kᵢ) (RevisedKb::compile_iterated)"
                         } else {
                             "T[X/Y] ∧ P ∧ EXA(k,X,Y,W) (dalal_compact)"
                         }
                     } else if profile.iterated {
-                        "chained T[Ωᵢ/Zᵢ] ∧ Pⁱ (weber_iterated)"
+                        "chained T[Ωᵢ/Zᵢ] ∧ Pⁱ (RevisedKb::compile_iterated)"
                     } else {
                         "T[Ω/Z] ∧ P (weber_compact)"
                     },
@@ -166,12 +166,12 @@ fn bounded_reference(mb: ModelBasedOp) -> &'static str {
 
 fn iterated_construction(mb: ModelBasedOp) -> &'static str {
     match mb {
-        ModelBasedOp::Winslett => "expanded formula (16) (winslett_iterated)",
-        ModelBasedOp::Borgida => "stepwise ∧ / formula (16) (borgida_iterated)",
-        ModelBasedOp::Forbus => "expanded formula (14) per step (forbus_iterated)",
-        ModelBasedOp::Satoh => "offline δᵢ selector per step (satoh_iterated)",
-        ModelBasedOp::Dalal => "Φₘ (dalal_iterated)",
-        ModelBasedOp::Weber => "chained T[Ωᵢ/Zᵢ] ∧ Pⁱ (weber_iterated)",
+        ModelBasedOp::Winslett => "expanded formula (16) (RevisedKb::compile_iterated)",
+        ModelBasedOp::Borgida => "stepwise ∧ / formula (16) (RevisedKb::compile_iterated)",
+        ModelBasedOp::Forbus => "expanded formula (14) per step (RevisedKb::compile_iterated)",
+        ModelBasedOp::Satoh => "offline δᵢ selector per step (RevisedKb::compile_iterated)",
+        ModelBasedOp::Dalal => "Φₘ (RevisedKb::compile_iterated)",
+        ModelBasedOp::Weber => "chained T[Ωᵢ/Zᵢ] ∧ Pⁱ (RevisedKb::compile_iterated)",
     }
 }
 

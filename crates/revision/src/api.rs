@@ -41,6 +41,14 @@ pub trait Engine {
     /// occurrences), or `None` if nothing has been compiled yet.
     fn compiled_size(&self) -> Option<usize>;
 
+    /// The compiled representation this engine answers from, if it
+    /// holds one that a further revision can extend in place (see
+    /// [`RevisedKb::extend`]). Engines that compile lazily or keep no
+    /// propositional representation return `None`.
+    fn compiled_rep(&self) -> Option<&CompactRep> {
+        None
+    }
+
     /// Statistics of the engine's query machinery, uniformly shaped.
     /// Engines without an incremental session (GFUV, WIDTIO) report
     /// the empty block.
@@ -107,6 +115,10 @@ impl Engine for CompactRep {
         Some(self.size())
     }
 
+    fn compiled_rep(&self) -> Option<&CompactRep> {
+        Some(self)
+    }
+
     fn stats(&self) -> EngineStats {
         CompactRep::stats(self)
     }
@@ -131,6 +143,10 @@ impl Engine for RevisedKb {
 
     fn compiled_size(&self) -> Option<usize> {
         Some(self.size())
+    }
+
+    fn compiled_rep(&self) -> Option<&CompactRep> {
+        Some(self.representation())
     }
 
     fn stats(&self) -> EngineStats {

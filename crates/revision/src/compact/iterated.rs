@@ -1,22 +1,31 @@
 //! Sections 5–6: compact representations for *iterated* revision.
 //!
+//! Every construction here is a left fold of one step function,
+//! [`RevisedKb::extend`](crate::engine::RevisedKb::extend), from `T`
+//! itself: step `i` turns the running representation of
+//! `T * P¹ * … * Pⁱ⁻¹` into one of `T * P¹ * … * Pⁱ`. A compiled chain can therefore grow by one
+//! revision at the cost of one step.
+//!
 //! **Unbounded case (Section 5):**
-//! - [`dalal_iterated`] — Theorem 5.1's `Φₘ`: one fresh copy `Yᵢ` of
-//!   the alphabet per step, chained `EXA(kᵢ, Yᵢ, Yᵢ₊₁, Wᵢ)` distance
-//!   constraints, with each `kᵢ` computed offline against the running
+//! - Dalal — Theorem 5.1's `Φₘ`: one fresh copy `Yᵢ` of the alphabet
+//!   per step, chained `EXA(kᵢ, Yᵢ, Yᵢ₊₁, Wᵢ)` distance constraints,
+//!   with each `kᵢ` computed offline against the running
 //!   representation.
-//! - [`weber_iterated`] — Corollary 5.2's formula (10): substitute the
-//!   running `Ωᵢ` by fresh letters `Zᵢ`, conjoin `Pⁱ`.
+//! - Weber — Corollary 5.2's formula (10): substitute the running
+//!   `Ωᵢ` by fresh letters `Zᵢ`, conjoin `Pⁱ`.
 //!
 //! **Bounded case (Section 6):** formulas (12)–(16) express one
 //! bounded revision step as a universally quantified condition over
 //! the (constant-size) alphabet of `Pⁱ`, which [`revkb_qbf::Qbf::expand`]
-//! turns into a propositional formula (Theorem 6.3):
-//! - [`winslett_iterated_qbf`] / [`winslett_iterated`] — formulas
-//!   (15)/(16); Borgida shares the construction (Cor 6.4).
-//! - [`forbus_iterated`] — formula (14), with the `DIST < DIST`
-//!   comparator realised by the gate-free bounded-alphabet circuits.
-//! - [`satoh_iterated`] — **deviation from the paper**: formula (13)
+//! turns into a propositional formula (Theorem 6.3). The `∀Z` of a
+//! step sits outside the running representation, so each step is
+//! expanded as it is taken:
+//! - Winslett — formulas (15)/(16); Borgida shares the construction
+//!   (Cor 6.4) for the steps inconsistent with the running theory and
+//!   conjoins `Pⁱ` otherwise.
+//! - Forbus — formula (14), with the `DIST < DIST` comparator realised
+//!   by the gate-free bounded-alphabet circuits.
+//! - Satoh — **deviation from the paper**: formula (13)
 //!   as printed quantifies the competing `T`-model only over `V(P)`
 //!   while sharing the remaining letters with the outer model, which
 //!   misses competitors that differ from the outer model outside
@@ -30,11 +39,12 @@
 //!   stays polynomial in `|T| + m`.
 
 use crate::compact::rep::CompactRep;
-use crate::distance::{delta_sets_over, min_distance_over, omega_over};
+use crate::distance::{delta_sets_sat, min_distance_sat, supply_above_base};
+use crate::semantic::ModelBasedOp;
 use revkb_circuits::{distance_less_direct, exa};
 use revkb_logic::{Formula, Substitution, Var, VarSupply};
 use revkb_qbf::Qbf;
-use revkb_sat::supply_above;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// `V(T) ∪ V(P¹) ∪ … ∪ V(Pᵐ)` in `Var` order.
@@ -69,6 +79,85 @@ fn differ_exactly(xs: &[Var], ys: &[Var], s: &BTreeSet<Var>) -> Formula {
     }))
 }
 
+/// The unrevised base `T` as the start of a chain: `T` itself over
+/// `V(T)`.
+pub(crate) fn chain_start(t: &Formula) -> CompactRep {
+    CompactRep::query(t.clone(), base_vars(t, &[]))
+}
+
+/// One revision step of the iterated constructions: the running
+/// representation `prev` of `T * P¹ * … * Pᵏ` (over its base alphabet
+/// `X`, with auxiliary letters outside `X`) becomes a representation
+/// of `T * P¹ * … * Pᵏ * p` over `X ∪ V(p)`. `None` when a
+/// minimal-difference enumeration (Weber, Satoh) exceeds
+/// `delta_limit`.
+///
+/// Every chain is a left fold of this function from [`chain_start`]:
+/// it is Theorem 5.1's recursion for Dalal, formula (10) for Weber,
+/// the offline `δ` selector for Satoh, and one expanded formula
+/// (14)/(16) step for Forbus, Winslett and Borgida, whose `∀Z` sits
+/// outside `prev`.
+///
+/// **Fresh-letter rule.** Letters are plain ids, and a later `p` may
+/// introduce a base letter whose id an earlier step already used for
+/// an auxiliary copy (`Y`, `W`, `Z`). Such auxiliary letters of `prev`
+/// are first renamed to fresh ids above every letter of `prev` and
+/// `p`. That keeps `prev`'s projection onto `X` intact and leaves the
+/// new letters free in it, as they are in the revised theory. Every
+/// fresh supply also starts above the base alphabet: a step that
+/// revises `⊥` keeps only `p`'s letters, so a base letter may occur in
+/// neither formula.
+pub(crate) fn extend(
+    op: ModelBasedOp,
+    prev: &CompactRep,
+    p: &Formula,
+    delta_limit: usize,
+) -> Option<CompactRep> {
+    let cur = rename_aux_apart(prev, p);
+    let mut base: BTreeSet<Var> = prev.base.iter().copied().collect();
+    p.collect_vars(&mut base);
+    let xs: Vec<Var> = base.into_iter().collect();
+    let supply = &mut supply_above_base([cur.as_ref(), p], &xs);
+    let formula = match degenerate_step(&cur, p) {
+        Some(f) => f,
+        None => match op {
+            ModelBasedOp::Dalal => dalal_step(&cur, p, &xs, supply),
+            ModelBasedOp::Weber => weber_step(&cur, p, &xs, delta_limit, supply)?,
+            ModelBasedOp::Satoh => satoh_step(&cur, p, &xs, delta_limit, supply)?,
+            ModelBasedOp::Winslett => {
+                winslett_step(Qbf::prop(cur.into_owned()), p, supply).expand()
+            }
+            ModelBasedOp::Forbus => forbus_step(Qbf::prop(cur.into_owned()), p, supply).expand(),
+            ModelBasedOp::Borgida => borgida_step(cur.into_owned(), p, supply),
+        },
+    };
+    Some(CompactRep::query(formula, xs))
+}
+
+/// `prev`'s formula with its auxiliary letters that `p` mentions
+/// renamed to fresh ids (see [`extend`]); borrowed when none clash.
+fn rename_aux_apart<'a>(prev: &'a CompactRep, p: &Formula) -> Cow<'a, Formula> {
+    let mut clashing: Vec<Var> = p
+        .vars()
+        .into_iter()
+        .filter(|v| !prev.base.contains(v))
+        .collect();
+    if !clashing.is_empty() {
+        let used = prev.formula.vars();
+        clashing.retain(|v| used.contains(v));
+    }
+    if clashing.is_empty() {
+        return Cow::Borrowed(&prev.formula);
+    }
+    let mut supply = supply_above_base([&prev.formula, p], &prev.base);
+    let fresh: Vec<Var> = clashing.iter().map(|_| supply.fresh_var()).collect();
+    Cow::Owned(prev.formula.rename(&clashing, &fresh))
+}
+
+/// The conventions for an unsatisfiable side, shared by every
+/// operator (as in [`crate::semantic::revise_masks`]): revising by an
+/// unsatisfiable `p` gives `⊥`, revising `⊥` gives `p`. `None` when
+/// both are satisfiable — which the step functions then rely on.
 fn degenerate_step(cur: &Formula, p: &Formula) -> Option<Formula> {
     if !revkb_sat::satisfiable(p) {
         return Some(Formula::False);
@@ -79,46 +168,32 @@ fn degenerate_step(cur: &Formula, p: &Formula) -> Option<Formula> {
     None
 }
 
-/// Theorem 5.1: `Φₘ`, the query-equivalent representation of
-/// `T *D P¹ *D … *D Pᵐ`. Polynomial in `|T| + Σ|Pⁱ|`.
-pub fn dalal_iterated(t: &Formula, ps: &[Formula], supply: &mut impl VarSupply) -> CompactRep {
-    let xs = base_vars(t, ps);
-    let mut cur = t.clone();
-    for p in ps {
-        if let Some(f) = degenerate_step(&cur, p) {
-            cur = f;
-            continue;
-        }
-        let k = min_distance_over(&cur, p, &xs).expect("both sides satisfiable");
-        let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
-        let prev = cur.rename(&xs, &ys);
-        let exa_k = exa(k, &xs, &ys, supply);
-        cur = prev.and(p.clone()).and(exa_k);
-    }
-    CompactRep::query(cur, xs)
+/// Theorem 5.1, one step of `Φₘ`: a fresh copy `Y` of the alphabet,
+/// `prev[X/Y] ∧ P ∧ EXA(k, X, Y, W)`, with `k` the distance between
+/// `prev` and `P` computed offline. Both sides must be satisfiable.
+fn dalal_step(prev: &Formula, p: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> Formula {
+    let k = min_distance_sat(prev, p, xs);
+    let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
+    let exa_k = exa(k, xs, &ys, supply);
+    prev.rename(xs, &ys).and(p.clone()).and(exa_k)
 }
 
-/// Corollary 5.2 (formula 10): the query-equivalent representation of
-/// `T *Web P¹ *Web … *Web Pᵐ`, size linear in `|T| + Σ|Pⁱ|`.
-/// `delta_limit` caps each step's minimal-difference enumeration.
-pub fn weber_iterated(
-    t: &Formula,
-    ps: &[Formula],
+/// Corollary 5.2 (formula 10), one step: `prev[Ω/Z] ∧ P` with fresh
+/// letters `Z`. Both sides must be satisfiable.
+fn weber_step(
+    prev: &Formula,
+    p: &Formula,
+    xs: &[Var],
     delta_limit: usize,
     supply: &mut impl VarSupply,
-) -> Option<CompactRep> {
-    let xs = base_vars(t, ps);
-    let mut cur = t.clone();
-    for p in ps {
-        if let Some(f) = degenerate_step(&cur, p) {
-            cur = f;
-            continue;
-        }
-        let omega: Vec<Var> = omega_over(&cur, p, &xs, delta_limit)?.into_iter().collect();
-        let zs: Vec<Var> = omega.iter().map(|_| supply.fresh_var()).collect();
-        cur = cur.rename(&omega, &zs).and(p.clone());
-    }
-    Some(CompactRep::query(cur, xs))
+) -> Option<Formula> {
+    let omega: BTreeSet<Var> = delta_sets_sat(prev, p, xs, delta_limit)?
+        .into_iter()
+        .flatten()
+        .collect();
+    let omega: Vec<Var> = omega.into_iter().collect();
+    let zs: Vec<Var> = omega.iter().map(|_| supply.fresh_var()).collect();
+    Some(prev.rename(&omega, &zs).and(p.clone()))
 }
 
 /// One Winslett step as a QBF (formulas 12/15/16): given the running
@@ -137,24 +212,6 @@ fn winslett_step(prev: Qbf, p: &Formula, supply: &mut impl VarSupply) -> Qbf {
         .and(Qbf::forall(zs, Qbf::prop(premise.implies(conclusion))))
 }
 
-/// Formulas (15)/(16): the query-equivalent QBF for
-/// `T *Win P¹ *Win … *Win Pᵐ` (also Borgida's upper bound, Cor 6.4).
-pub fn winslett_iterated_qbf(t: &Formula, ps: &[Formula], supply: &mut impl VarSupply) -> Qbf {
-    let mut cur = Qbf::prop(t.clone());
-    for p in ps {
-        cur = winslett_step(cur, p, supply);
-    }
-    cur
-}
-
-/// Theorem 6.1 + 6.3: the propositional expansion of
-/// [`winslett_iterated_qbf`], polynomial in `|T| + m` for bounded
-/// `|Pⁱ|`.
-pub fn winslett_iterated(t: &Formula, ps: &[Formula], supply: &mut impl VarSupply) -> CompactRep {
-    let q = winslett_iterated_qbf(t, ps, supply);
-    CompactRep::query(q.expand(), base_vars(t, ps))
-}
-
 /// One Forbus step (formula 14 with gate-free bounded-alphabet
 /// distance comparison):
 /// `prev[V(P)/Y] ∧ P ∧ ∀Z.(F_P(Z) → ¬ DIST(Z,Y) < DIST(V(P),Y))`.
@@ -170,15 +227,16 @@ fn forbus_step(prev: Qbf, p: &Formula, supply: &mut impl VarSupply) -> Qbf {
         .and(Qbf::forall(zs, Qbf::prop(f_p_z.implies(closer.not()))))
 }
 
-/// Theorem 6.2 (Forbus part): the query-equivalent propositional
-/// representation of `T *F P¹ *F … *F Pᵐ`, polynomial in `|T| + m`
-/// for bounded `|Pⁱ|`.
-pub fn forbus_iterated(t: &Formula, ps: &[Formula], supply: &mut impl VarSupply) -> CompactRep {
-    let mut cur = Qbf::prop(t.clone());
-    for p in ps {
-        cur = forbus_step(cur, p, supply);
+/// One Borgida step (Corollary 6.4's upper bound): the conjunction
+/// when `P` is consistent with the running representation, a Winslett
+/// step (formula 16) otherwise.
+fn borgida_step(prev: Formula, p: &Formula, supply: &mut impl VarSupply) -> Formula {
+    let joined = prev.clone().and(p.clone());
+    if revkb_sat::satisfiable(&joined) {
+        joined
+    } else {
+        winslett_step(Qbf::prop(prev), p, supply).expand()
     }
-    CompactRep::query(cur.expand(), base_vars(t, ps))
 }
 
 /// The paper's formula (13), verbatim, for a *single* Satoh revision:
@@ -218,6 +276,9 @@ pub fn satoh_qbf_paper(t: &Formula, p: &Formula, supply: &mut impl VarSupply) ->
 /// ```text
 /// prev[V(P)/Y] ∧ P ∧ ⋁_{S ∈ δᵢ} differ(V(P), Y) = S
 /// ```
+///
+/// Each step adds `O(2^k · k + |Pⁱ|)` for `k = |V(Pⁱ)|`. Both sides
+/// must be satisfiable.
 fn satoh_step(
     prev: &Formula,
     p: &Formula,
@@ -225,90 +286,12 @@ fn satoh_step(
     delta_limit: usize,
     supply: &mut impl VarSupply,
 ) -> Option<Formula> {
-    if let Some(f) = degenerate_step(prev, p) {
-        return Some(f);
-    }
-    let delta = delta_sets_over(prev, p, xs, delta_limit)?;
+    let delta = delta_sets_sat(prev, p, xs, delta_limit)?;
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let ys: Vec<Var> = pvars.iter().map(|_| supply.fresh_var()).collect();
     let renamed = prev.rename(&pvars, &ys);
     let selector = Formula::or_all(delta.iter().map(|s| differ_exactly(&pvars, &ys, s)));
     Some(renamed.and(p.clone()).and(selector))
-}
-
-/// Query-equivalent representation of `T *S P¹ *S … *S Pᵐ` for
-/// bounded `|Pⁱ|` (Theorem 6.2, via the corrected construction
-/// documented at module level). Polynomial in `|T| + m`: each step
-/// adds `O(2^k · k + |Pⁱ|)` to the running formula.
-pub fn satoh_iterated(
-    t: &Formula,
-    ps: &[Formula],
-    delta_limit: usize,
-    supply: &mut impl VarSupply,
-) -> Option<CompactRep> {
-    let xs = base_vars(t, ps);
-    let mut cur = t.clone();
-    for p in ps {
-        cur = satoh_step(&cur, p, &xs, delta_limit, supply)?;
-    }
-    Some(CompactRep::query(cur, xs))
-}
-
-/// Iterated Borgida (Corollary 6.4's upper bound, stepwise): each step
-/// is the conjunction when consistent with the running representation,
-/// and a Winslett step (formula 16) otherwise. Query-equivalent,
-/// polynomial in `|T| + m` for bounded `|Pⁱ|`.
-pub fn borgida_iterated(t: &Formula, ps: &[Formula], supply: &mut impl VarSupply) -> CompactRep {
-    let base = base_vars(t, ps);
-    let mut cur = Qbf::prop(t.clone());
-    for p in ps {
-        let consistent = {
-            let probe = cur.clone().and(Qbf::prop(p.clone()));
-            revkb_sat::satisfiable(&probe.expand())
-        };
-        if consistent {
-            cur = cur.and(Qbf::prop(p.clone()));
-        } else {
-            cur = winslett_step(cur, p, supply);
-        }
-    }
-    CompactRep::query(cur.expand(), base)
-}
-
-/// Convenience: iterated Borgida with an automatic supply.
-pub fn borgida_iterated_auto(t: &Formula, ps: &[Formula]) -> CompactRep {
-    let mut supply = supply_above(std::iter::once(t).chain(ps));
-    borgida_iterated(t, ps, &mut supply)
-}
-
-/// Convenience: iterated Dalal with an automatic supply.
-pub fn dalal_iterated_auto(t: &Formula, ps: &[Formula]) -> CompactRep {
-    let mut supply = supply_above(std::iter::once(t).chain(ps));
-    dalal_iterated(t, ps, &mut supply)
-}
-
-/// Convenience: iterated Weber with an automatic supply.
-pub fn weber_iterated_auto(t: &Formula, ps: &[Formula]) -> Option<CompactRep> {
-    let mut supply = supply_above(std::iter::once(t).chain(ps));
-    weber_iterated(t, ps, 100_000, &mut supply)
-}
-
-/// Convenience: iterated Winslett with an automatic supply.
-pub fn winslett_iterated_auto(t: &Formula, ps: &[Formula]) -> CompactRep {
-    let mut supply = supply_above(std::iter::once(t).chain(ps));
-    winslett_iterated(t, ps, &mut supply)
-}
-
-/// Convenience: iterated Forbus with an automatic supply.
-pub fn forbus_iterated_auto(t: &Formula, ps: &[Formula]) -> CompactRep {
-    let mut supply = supply_above(std::iter::once(t).chain(ps));
-    forbus_iterated(t, ps, &mut supply)
-}
-
-/// Convenience: iterated Satoh with an automatic supply.
-pub fn satoh_iterated_auto(t: &Formula, ps: &[Formula]) -> Option<CompactRep> {
-    let mut supply = supply_above(std::iter::once(t).chain(ps));
-    satoh_iterated(t, ps, 100_000, &mut supply)
 }
 
 #[cfg(test)]
@@ -317,9 +300,17 @@ mod tests {
     use crate::equivalence::query_equivalent_enum;
     use crate::semantic::{revise_iterated_on, ModelBasedOp};
     use revkb_logic::Alphabet;
+    use revkb_sat::supply_above;
 
     fn v(i: u32) -> Formula {
         Formula::var(Var(i))
+    }
+
+    /// The chain `T * P¹ * … * Pᵐ` as a fold of [`extend`].
+    fn chain(op: ModelBasedOp, t: &Formula, ps: &[Formula]) -> CompactRep {
+        ps.iter().fold(chain_start(t), |rep, p| {
+            extend(op, &rep, p, 100_000).expect("δ within its limit")
+        })
     }
 
     fn check_iterated(op: ModelBasedOp, rep: &CompactRep, t: &Formula, ps: &[Formula]) {
@@ -340,7 +331,7 @@ mod tests {
         let p1 = v(0).not().or(v(1).not());
         let p2 = v(4).not();
         let ps = vec![p1, p2];
-        let rep = weber_iterated_auto(&t, &ps).unwrap();
+        let rep = chain(ModelBasedOp::Weber, &t, &ps);
         check_iterated(ModelBasedOp::Weber, &rep, &t, &ps);
         let alpha = Alphabet::new(rep.base.clone());
         let oracle = revise_iterated_on(ModelBasedOp::Weber, &alpha, &t, &ps);
@@ -353,7 +344,7 @@ mod tests {
         let p1 = v(0).not().or(v(1).not());
         let p2 = v(3).not();
         let ps = vec![p1, p2];
-        let rep = dalal_iterated_auto(&t, &ps);
+        let rep = chain(ModelBasedOp::Dalal, &t, &ps);
         check_iterated(ModelBasedOp::Dalal, &rep, &t, &ps);
     }
 
@@ -361,7 +352,7 @@ mod tests {
     fn dalal_iterated_single_step_matches_thm_3_4() {
         let t = v(0).and(v(1));
         let p = v(0).not().or(v(1).not());
-        let rep_seq = dalal_iterated_auto(&t, std::slice::from_ref(&p));
+        let rep_seq = chain(ModelBasedOp::Dalal, &t, std::slice::from_ref(&p));
         let rep_one = crate::compact::dalal::dalal_compact_auto(&t, &p);
         assert!(query_equivalent_enum(
             &rep_seq.formula,
@@ -377,7 +368,7 @@ mod tests {
         let t = Formula::and_all((0..5).map(v));
         let p = v(0).not();
         let ps = vec![p];
-        let rep = winslett_iterated_auto(&t, &ps);
+        let rep = chain(ModelBasedOp::Winslett, &t, &ps);
         check_iterated(ModelBasedOp::Winslett, &rep, &t, &ps);
         assert!(rep.entails(&v(1).and(v(2)).and(v(3)).and(v(4))));
         assert!(rep.entails(&v(0).not()));
@@ -387,7 +378,7 @@ mod tests {
     fn winslett_iterated_multi_step() {
         let t = Formula::and_all((0..4).map(v));
         let ps = vec![v(0).not(), v(1).not().or(v(0)), v(2).xor(v(3))];
-        let rep = winslett_iterated_auto(&t, &ps);
+        let rep = chain(ModelBasedOp::Winslett, &t, &ps);
         check_iterated(ModelBasedOp::Winslett, &rep, &t, &ps);
     }
 
@@ -395,7 +386,7 @@ mod tests {
     fn forbus_iterated_multi_step() {
         let t = Formula::and_all((0..4).map(v));
         let ps = vec![v(0).not().or(v(1).not()), v(2).not(), v(0).xor(v(1))];
-        let rep = forbus_iterated_auto(&t, &ps);
+        let rep = chain(ModelBasedOp::Forbus, &t, &ps);
         check_iterated(ModelBasedOp::Forbus, &rep, &t, &ps);
     }
 
@@ -409,7 +400,7 @@ mod tests {
             v(1).not().or(v(2)), // consistent: conjunction step
             v(1).not(),          // inconsistent: update step
         ];
-        let rep = borgida_iterated_auto(&t, &ps);
+        let rep = chain(ModelBasedOp::Borgida, &t, &ps);
         check_iterated(ModelBasedOp::Borgida, &rep, &t, &ps);
     }
 
@@ -417,8 +408,8 @@ mod tests {
     fn borgida_iterated_matches_winslett_when_all_inconsistent() {
         let t = Formula::and_all((0..3).map(v));
         let ps = vec![v(0).not(), v(1).not()];
-        let b = borgida_iterated_auto(&t, &ps);
-        let w = winslett_iterated_auto(&t, &ps);
+        let b = chain(ModelBasedOp::Borgida, &t, &ps);
+        let w = chain(ModelBasedOp::Winslett, &t, &ps);
         assert!(query_equivalent_enum(&b.formula, &w.formula, &b.base));
     }
 
@@ -426,7 +417,7 @@ mod tests {
     fn satoh_iterated_multi_step() {
         let t = Formula::and_all((0..4).map(v));
         let ps = vec![v(0).not().or(v(1).not()), v(2).not().or(v(3).not())];
-        let rep = satoh_iterated_auto(&t, &ps).unwrap();
+        let rep = chain(ModelBasedOp::Satoh, &t, &ps);
         check_iterated(ModelBasedOp::Satoh, &rep, &t, &ps);
     }
 
@@ -434,7 +425,7 @@ mod tests {
     fn satoh_single_step_matches_semantic() {
         let t = v(0).iff(v(1)).and(v(2));
         let p = v(0).xor(v(2));
-        let rep = satoh_iterated_auto(&t, std::slice::from_ref(&p)).unwrap();
+        let rep = chain(ModelBasedOp::Satoh, &t, std::slice::from_ref(&p));
         check_iterated(ModelBasedOp::Satoh, &rep, &t, std::slice::from_ref(&p));
     }
 
@@ -477,7 +468,7 @@ mod tests {
         assert!(!oracle.contains_mask(0));
 
         // Our corrected construction agrees with the oracle.
-        let rep = satoh_iterated_auto(&t, std::slice::from_ref(&p)).unwrap();
+        let rep = chain(ModelBasedOp::Satoh, &t, std::slice::from_ref(&p));
         assert!(query_equivalent_enum(&rep.formula, &oracle.to_dnf(), &base));
     }
 
@@ -489,7 +480,7 @@ mod tests {
         let ps: Vec<Formula> = (0..4).map(|i| v(i % 6).not()).collect();
         let mut sizes = Vec::new();
         for m in 1..=4 {
-            let rep = dalal_iterated_auto(&t, &ps[..m]);
+            let rep = chain(ModelBasedOp::Dalal, &t, &ps[..m]);
             sizes.push(rep.size());
         }
         let increments: Vec<i64> = sizes
@@ -505,7 +496,7 @@ mod tests {
         // Weber's per-step growth is tiny (just |Pⁱ|).
         let mut weber_sizes = Vec::new();
         for m in 1..=4 {
-            let rep = weber_iterated_auto(&t, &ps[..m]).unwrap();
+            let rep = chain(ModelBasedOp::Weber, &t, &ps[..m]);
             weber_sizes.push(rep.size());
         }
         for w in weber_sizes.windows(2) {
@@ -516,9 +507,9 @@ mod tests {
     #[test]
     fn empty_sequence_is_identity() {
         let t = v(0).and(v(1));
-        let rep = dalal_iterated_auto(&t, &[]);
+        let rep = chain(ModelBasedOp::Dalal, &t, &[]);
         assert!(revkb_sat::equivalent(&rep.formula, &t));
-        let repw = weber_iterated_auto(&t, &[]).unwrap();
+        let repw = chain(ModelBasedOp::Weber, &t, &[]);
         assert!(revkb_sat::equivalent(&repw.formula, &t));
     }
 
@@ -529,7 +520,7 @@ mod tests {
         let ps = vec![unsat, v(2)];
         // After an unsatisfiable revision the next step revises ⊥,
         // which by convention yields P.
-        let rep = dalal_iterated_auto(&t, &ps);
+        let rep = chain(ModelBasedOp::Dalal, &t, &ps);
         assert!(revkb_sat::equivalent(&rep.formula, &v(2)));
     }
 }

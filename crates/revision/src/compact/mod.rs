@@ -5,9 +5,9 @@
 //! | [`dalal::dalal_compact`] | Thm 3.4 | query equivalence | general |
 //! | [`weber::weber_compact`] | Thm 3.5 | query equivalence | general |
 //! | [`bounded`] (formulas 5–9) | Prop 4.3, Cor 4.4, Thm 4.5, Thm 4.6 | logical equivalence | bounded `\|P\|` |
-//! | [`iterated::dalal_iterated`] | Thm 5.1 (`Φₘ`) | query equivalence | iterated general |
-//! | [`iterated::weber_iterated`] | Cor 5.2 (formula 10) | query equivalence | iterated general |
-//! | [`iterated`] QBF forms (12)–(16) | Thm 6.1–6.3, Cor 6.4 | query equivalence | iterated bounded |
+//! | [`RevisedKb::extend`](crate::engine::RevisedKb::extend) (Dalal) | Thm 5.1 (`Φₘ`) | query equivalence | iterated general |
+//! | [`RevisedKb::extend`](crate::engine::RevisedKb::extend) (Weber) | Cor 5.2 (formula 10) | query equivalence | iterated general |
+//! | [`RevisedKb::extend`](crate::engine::RevisedKb::extend) (bounded operators) | Thm 6.1–6.3, Cor 6.4, formulas (12)–(16) | query equivalence | iterated bounded |
 //! | [`widtio_compact`] | §3 opening remark | logical equivalence | always |
 
 pub mod bounded;
@@ -21,11 +21,7 @@ pub use bounded::{
     winslett_bounded,
 };
 pub use dalal::{dalal_compact, dalal_compact_auto};
-pub use iterated::{
-    borgida_iterated, borgida_iterated_auto, dalal_iterated, dalal_iterated_auto, forbus_iterated,
-    forbus_iterated_auto, satoh_iterated, satoh_iterated_auto, satoh_qbf_paper, weber_iterated,
-    weber_iterated_auto, winslett_iterated, winslett_iterated_auto, winslett_iterated_qbf,
-};
+pub use iterated::satoh_qbf_paper;
 pub use rep::{CompactRep, EngineStats, QueryError};
 pub use weber::{weber_compact, weber_compact_auto};
 

@@ -13,9 +13,23 @@
 //!   one, block all its supersets, repeat.
 
 use revkb_circuits::exa;
-use revkb_logic::{Formula, Substitution, Var, VarSupply};
-use revkb_sat::supply_above;
+use revkb_logic::{CountingSupply, Formula, Substitution, Var, VarSupply};
 use std::collections::BTreeSet;
+
+/// A supply of fresh letters above every letter of `fs` and of `xs`.
+/// A letter of the alphabet `xs` can be absent from every formula at
+/// hand (a step that revises `⊥` keeps only `P`'s letters), and must
+/// still never be handed out as a fresh letter.
+pub(crate) fn supply_above_base<'a>(
+    fs: impl IntoIterator<Item = &'a Formula>,
+    xs: &[Var],
+) -> CountingSupply {
+    let mut vars: BTreeSet<Var> = xs.iter().copied().collect();
+    for f in fs {
+        f.collect_vars(&mut vars);
+    }
+    CountingSupply::new(vars.last().map_or(0, |v| v.0 + 1))
+}
 
 /// The result of renaming `T`'s base letters apart from `P`'s.
 struct RenamedPair {
@@ -59,13 +73,19 @@ pub fn min_distance_over(a: &Formula, b: &Formula, xs: &[Var]) -> Option<usize> 
     if !revkb_sat::satisfiable(a) || !revkb_sat::satisfiable(b) {
         return None;
     }
-    let mut supply = supply_above([a, b]);
+    Some(min_distance_sat(a, b, xs))
+}
+
+/// [`min_distance_over`] for callers that already know both `a` and
+/// `b` are satisfiable, so neither is solved again here.
+pub(crate) fn min_distance_sat(a: &Formula, b: &Formula, xs: &[Var]) -> usize {
+    let mut supply = supply_above_base([a, b], xs);
     let renamed = rename_apart(a, xs, &mut supply);
     let base = renamed.t_renamed.and(b.clone());
     for d in 0..=xs.len() {
         let probe = base.clone().and(exa(d, xs, &renamed.ys, &mut supply));
         if revkb_sat::satisfiable(&probe) {
-            return Some(d);
+            return d;
         }
     }
     unreachable!("distance over |xs| letters cannot exceed |xs|")
@@ -98,7 +118,18 @@ pub fn delta_sets_over(
     if !revkb_sat::satisfiable(a) || !revkb_sat::satisfiable(b) {
         return Some(Vec::new());
     }
-    let mut supply = supply_above([a, b]);
+    delta_sets_sat(a, b, xs, limit)
+}
+
+/// [`delta_sets_over`] for callers that already know both `a` and `b`
+/// are satisfiable, so neither is solved again here.
+pub(crate) fn delta_sets_sat(
+    a: &Formula,
+    b: &Formula,
+    xs: &[Var],
+    limit: usize,
+) -> Option<Vec<BTreeSet<Var>>> {
+    let mut supply = supply_above_base([a, b], xs);
     let renamed = rename_apart(a, xs, &mut supply);
     let ys = &renamed.ys;
     // Working constraint: a(Y) ∧ b(X) ∧ blocking clauses.

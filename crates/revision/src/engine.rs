@@ -25,9 +25,8 @@
 //! stale answers cannot survive a revision.
 
 use crate::compact::{
-    borgida_bounded, borgida_iterated, dalal_compact, dalal_iterated, forbus_bounded,
-    forbus_iterated, satoh_bounded, satoh_iterated, weber_compact, weber_iterated,
-    winslett_bounded, winslett_iterated, CompactRep,
+    borgida_bounded, dalal_compact, forbus_bounded, iterated, satoh_bounded, weber_compact,
+    winslett_bounded, CompactRep,
 };
 use crate::semantic::ModelBasedOp;
 use revkb_logic::Formula;
@@ -155,7 +154,8 @@ impl RevisedKb {
     }
 
     /// Compile the iterated revision `T * P¹ * … * Pᵐ` with the
-    /// Section 5/6 constructions (all query-equivalent).
+    /// Section 5/6 constructions (all query-equivalent): a left fold
+    /// of [`RevisedKb::extend`] from the unrevised `T`.
     pub fn compile_iterated(
         op: ModelBasedOp,
         t: &Formula,
@@ -163,31 +163,48 @@ impl RevisedKb {
     ) -> Result<Self, CompileError> {
         let _span = revkb_obs::span("revision.compile_iterated");
         let _op_span = revkb_obs::span(op.name());
-        let mut supply = supply_above(std::iter::once(t).chain(ps));
-        let rep = match op {
-            ModelBasedOp::Dalal => dalal_iterated(t, ps, &mut supply),
-            ModelBasedOp::Weber => weber_iterated(t, ps, DELTA_LIMIT, &mut supply)
-                .ok_or(CompileError::DeltaEnumerationOverflow)?,
-            bounded_op => {
-                let width = ps.iter().map(|p| p.vars().len()).max().unwrap_or(0);
-                if width > MAX_BOUNDED_P_VARS {
-                    return Err(CompileError::UpdateAlphabetTooLarge {
-                        op: bounded_op,
-                        got: width,
-                        max: MAX_BOUNDED_P_VARS,
-                    });
-                }
-                match bounded_op {
-                    ModelBasedOp::Winslett => winslett_iterated(t, ps, &mut supply),
-                    ModelBasedOp::Borgida => borgida_iterated(t, ps, &mut supply),
-                    ModelBasedOp::Forbus => forbus_iterated(t, ps, &mut supply),
-                    ModelBasedOp::Satoh => satoh_iterated(t, ps, DELTA_LIMIT, &mut supply)
-                        .ok_or(CompileError::DeltaEnumerationOverflow)?,
-                    _ => unreachable!(),
-                }
+        let start = Self::from_chain(op, iterated::chain_start(t));
+        ps.iter().try_fold(start, |kb, p| kb.extend(p))
+    }
+
+    /// One more revision: `T * P¹ * … * Pᵐ * p` from this base, at
+    /// the cost of one construction step (Theorem 5.1's recursion,
+    /// formula (10), or one expanded formula (14)/(16) step). The
+    /// bounded operators refuse a `p` wider than
+    /// [`MAX_BOUNDED_P_VARS`] letters, as [`RevisedKb::compile`] does.
+    ///
+    /// ```
+    /// use revkb_revision::{ModelBasedOp, RevisedKb};
+    /// use revkb_logic::{Formula, Var};
+    /// let (a, b) = (Formula::var(Var(0)), Formula::var(Var(1)));
+    /// let kb = RevisedKb::compile_iterated(ModelBasedOp::Dalal, &a.clone().and(b.clone()), &[])
+    ///     .unwrap()
+    ///     .extend(&a.clone().not())
+    ///     .unwrap();
+    /// assert!(kb.entails(&b));
+    /// ```
+    pub fn extend(&self, p: &Formula) -> Result<Self, CompileError> {
+        if !matches!(self.op, ModelBasedOp::Dalal | ModelBasedOp::Weber) {
+            let width = p.vars().len();
+            if width > MAX_BOUNDED_P_VARS {
+                return Err(CompileError::UpdateAlphabetTooLarge {
+                    op: self.op,
+                    got: width,
+                    max: MAX_BOUNDED_P_VARS,
+                });
             }
-        };
-        Ok(Self { op, rep })
+        }
+        let rep = iterated::extend(self.op, &self.rep, p, DELTA_LIMIT)
+            .ok_or(CompileError::DeltaEnumerationOverflow)?;
+        Ok(Self { op: self.op, rep })
+    }
+
+    /// Resume a chain from a representation that
+    /// [`RevisedKb::compile_iterated`] or [`RevisedKb::extend`] built
+    /// for `op` (for instance one kept in a cache), so that
+    /// [`RevisedKb::extend`] can grow it further.
+    pub fn from_chain(op: ModelBasedOp, rep: CompactRep) -> Self {
+        Self { op, rep }
     }
 
     /// Compile via the BDD pipeline: semantic model set → ROBDD →

@@ -463,6 +463,13 @@ pub struct KbState {
     /// Whether the current engine came from a degraded (fallback)
     /// compilation after a timed-out preferred backend.
     pub degraded: bool,
+    /// Whether the next revise with the same operator may extend the
+    /// engine's compiled representation ([`Engine::compiled_rep`]) by
+    /// one step: true after a model-based revise that did not go
+    /// through the BDD pipeline. A degraded engine holds no compiled
+    /// representation, so it falls back to the chain from `T` as an
+    /// unrevised or BDD-compiled KB does.
+    pub extendable: bool,
     /// Queries answered against this KB since it was loaded.
     pub queries: u64,
     /// Rolling workload profile (query/revise mix, input sizes,
@@ -484,6 +491,7 @@ impl KbState {
             kind: KbKind::Unrevised,
             engine,
             degraded: false,
+            extendable: false,
             queries: 0,
             profile: KbProfile::default(),
         }

@@ -1454,6 +1454,7 @@ impl Server {
         kb.revisions.push(p);
         kb.kind = kind;
         kb.degraded = matches!(outcome, CacheOutcome::Degraded);
+        kb.extendable = matches!(kind, KbKind::ModelBased(_)) && !via_bdd(&kb.revisions, backend);
         kb.engine = engine;
         kb.profile.note_revise(op.tag(), p_nodes);
         match outcome {
@@ -1495,9 +1496,12 @@ impl Server {
     }
 
     /// Compile (or fetch from cache) the engine for a model-based
-    /// revision chain `T * P¹ * … * Pᵐ`. The third element is the
-    /// compile latency in microseconds (`None` on a cache hit or a
-    /// degraded fallback, where no compile finished).
+    /// revision chain `T * P¹ * … * Pᵐ`. A miss extends the KB's
+    /// current chain by the one new step when it holds one
+    /// ([`KbState::extendable`]) and runs the chain from `T` otherwise.
+    /// The third element is the compile latency in microseconds
+    /// (`None` on a cache hit or a degraded fallback, where no compile
+    /// finished).
     #[allow(clippy::type_complexity)]
     fn model_based_engine(
         &self,
@@ -1522,11 +1526,25 @@ impl Server {
             }
             metrics::CACHE_MISSES.inc();
         }
+        let prev = kb.engine.compiled_rep().filter(|_| kb.extendable).cloned();
         let t = kb.t();
+        let compile = {
+            let t = t.clone();
+            let ps = ps.to_vec();
+            move || -> Result<RevisedKb, Error> {
+                match (prev, ps.as_slice()) {
+                    (Some(prev), [.., p]) => Ok(RevisedKb::from_chain(op, prev).extend(p)?),
+                    (_, [p]) if via_bdd(&ps, backend) => Ok(RevisedKb::compile_via_bdd(op, &t, p)?),
+                    // The BDD pipeline has no iterated form; longer
+                    // chains always use the direct constructions.
+                    _ => Ok(RevisedKb::compile_iterated(op, &t, &ps)?),
+                }
+            }
+        };
         let compile_start = Instant::now();
         let compiled = {
             let _span = obs::span_with("server.compile", &[("req", req), (obs::TRACE_ATTR, trace)]);
-            self.compile_budgeted(op, &t, ps, backend)
+            self.compile_budgeted(compile)
         };
         match compiled {
             Some(Ok(revised)) => {
@@ -1559,27 +1577,12 @@ impl Server {
         }
     }
 
-    /// Run the compile under the configured budget. `None` means the
+    /// Run `compile` under the configured budget. `None` means the
     /// budget expired.
     fn compile_budgeted(
         &self,
-        op: ModelBasedOp,
-        t: &Formula,
-        ps: &[Formula],
-        backend: Backend,
+        compile: impl FnOnce() -> Result<RevisedKb, Error> + Send + 'static,
     ) -> Option<Result<RevisedKb, Error>> {
-        let compile = {
-            let t = t.clone();
-            let ps = ps.to_vec();
-            move || -> Result<RevisedKb, Error> {
-                match (ps.as_slice(), backend) {
-                    ([p], Backend::Bdd) => Ok(RevisedKb::compile_via_bdd(op, &t, p)?),
-                    // The BDD pipeline has no iterated form; longer
-                    // chains always use the direct constructions.
-                    (ps, _) => Ok(RevisedKb::compile_iterated(op, &t, ps)?),
-                }
-            }
-        };
         match self.inner.config.compile_timeout_ms {
             None => Some(compile()),
             // A zero budget degrades unconditionally — and skips
@@ -3325,6 +3328,12 @@ impl Drop for StreamGuard<'_> {
 fn write_framed<W: Write>(writer: &mut W, mut response: String) -> io::Result<()> {
     response.push('\n');
     writer.write_all(response.as_bytes())
+}
+
+/// Whether the revise that produced the chain `ps` compiled through
+/// the BDD pipeline, which has only a single-step form.
+fn via_bdd(ps: &[Formula], backend: Backend) -> bool {
+    ps.len() == 1 && backend == Backend::Bdd
 }
 
 fn operator_mismatch(prev: ModelBasedOp, requested: OpName) -> ExecError {

@@ -367,3 +367,124 @@ fn on_disk_record_format_matches_golden_file() {
     assert_eq!(good, golden.len() - LOG_MAGIC.len());
     assert_eq!(ops, golden_ops());
 }
+
+/// A five-step Dalal chain whose fourth step brings a new letter.
+const CHAIN_T: &str = "a & b; c -> d";
+const CHAIN: [&str; 5] = ["!a | !b", "!c", "c | !d", "!a & e", "b <+> d"];
+
+/// The chain KB's `compiled_size` (from `list`) and its verdicts on
+/// queries over every letter the chain ever mentions.
+fn chain_state(server: &Server, kb: &str) -> (Option<u64>, Vec<String>) {
+    let resp = call(server, r#"{"cmd":"list"}"#);
+    let size = result(&resp)
+        .get("kbs")
+        .and_then(Json::as_array)
+        .and_then(|kbs| {
+            kbs.iter()
+                .find(|k| k.get("name").and_then(Json::as_str) == Some(kb))
+        })
+        .and_then(|k| k.get("compiled_size"))
+        .and_then(Json::as_u64);
+    let verdicts = ["a", "!a", "b", "c", "d", "e", "a | b", "c -> d", "!b | e"]
+        .iter()
+        .map(|q| {
+            let resp = call(
+                server,
+                &format!(r#"{{"cmd":"query","kb":"{kb}","q":"{q}"}}"#),
+            );
+            match resp.get("result").and_then(|r| r.get("entails")) {
+                Some(answer) => format!("{q}|{answer:?}"),
+                None => format!("{q}|{:?}", resp.get("code")),
+            }
+        })
+        .collect();
+    (size, verdicts)
+}
+
+/// Replaying the chain from the WAL goes through the same revise path,
+/// which extends the replayed chain one step per record: booting from
+/// the log prefix that ends after step `i` answers exactly as the
+/// primary did after step `i`, with the same `compiled_size`.
+#[test]
+fn replayed_chain_matches_the_primary_at_every_step() {
+    let dir = tmpdir("chain");
+    let mut primary_states = Vec::new();
+    {
+        let server = Server::open(durable_config(&dir)).unwrap();
+        call(
+            &server,
+            &format!(r#"{{"cmd":"load","kb":"k","t":"{CHAIN_T}"}}"#),
+        );
+        for p in CHAIN {
+            result(&call(
+                &server,
+                &format!(r#"{{"cmd":"revise","kb":"k","op":"dalal","p":"{p}"}}"#),
+            ));
+            primary_states.push(chain_state(&server, "k"));
+        }
+    }
+    let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+    let (ops, _) = decode_records(&log[LOG_MAGIC.len()..]);
+    assert_eq!(ops.len(), 1 + CHAIN.len());
+    let cut_dir = tmpdir("chain-cut");
+    for (step, want) in primary_states.iter().enumerate() {
+        let _ = std::fs::remove_dir_all(&cut_dir);
+        std::fs::create_dir_all(&cut_dir).unwrap();
+        let mut prefix = LOG_MAGIC.to_vec();
+        for op in &ops[..step + 2] {
+            prefix.extend_from_slice(&encode_record(op));
+        }
+        std::fs::write(cut_dir.join(LOG_FILE), &prefix).unwrap();
+        let recovered = Server::open(durable_config(&cut_dir)).unwrap();
+        let report = recovered.recovery_report().unwrap();
+        assert_eq!(report.replay_errors, 0, "step {}: {report:?}", step + 1);
+        assert!(want.0.is_some());
+        assert_eq!(&chain_state(&recovered, "k"), want, "step {}", step + 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cut_dir);
+}
+
+/// Revises that degraded under a zero compile budget (a degraded KB
+/// holds no compiled chain, so each later revise starts from `T`
+/// again) answer correctly, and the logged chain replays under a
+/// normal budget into a compiled chain that the next revise extends.
+#[test]
+fn degraded_chain_answers_and_replays_under_a_normal_budget() {
+    let dir = tmpdir("degraded-chain");
+    let oracle = Server::new(ServerConfig::default());
+    call(
+        &oracle,
+        &format!(r#"{{"cmd":"load","kb":"k","t":"{CHAIN_T}"}}"#),
+    );
+    {
+        let server = Server::open(durable_config(&dir).with_compile_timeout_ms(Some(0))).unwrap();
+        call(
+            &server,
+            &format!(r#"{{"cmd":"load","kb":"k","t":"{CHAIN_T}"}}"#),
+        );
+        for p in &CHAIN[..3] {
+            let line = format!(r#"{{"cmd":"revise","kb":"k","op":"dalal","p":"{p}"}}"#);
+            let resp = call(&server, &line);
+            assert_eq!(
+                result(&resp).get("degraded").and_then(Json::as_bool),
+                Some(true)
+            );
+            result(&call(&oracle, &line));
+            assert_eq!(chain_state(&server, "k").1, chain_state(&oracle, "k").1);
+        }
+    }
+    let recovered = Server::open(durable_config(&dir)).unwrap();
+    assert_eq!(recovered.recovery_report().unwrap().replay_errors, 0);
+    for p in &CHAIN[3..] {
+        let line = format!(r#"{{"cmd":"revise","kb":"k","op":"dalal","p":"{p}"}}"#);
+        let resp = call(&recovered, &line);
+        assert_eq!(
+            result(&resp).get("degraded").and_then(Json::as_bool),
+            Some(false)
+        );
+        result(&call(&oracle, &line));
+        assert_eq!(chain_state(&recovered, "k"), chain_state(&oracle, "k"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -194,3 +194,155 @@ fn revise_response_shape() {
     assert!(body.get("engine").and_then(Json::as_str).is_some());
     assert!(body.get("backend").and_then(Json::as_str).is_some());
 }
+
+fn revise(server: &Server, kb: &str, op: &str, p: &str) -> Json {
+    call(
+        server,
+        &format!(r#"{{"cmd":"revise","kb":"{kb}","op":"{op}","p":"{p}"}}"#),
+    )
+}
+
+fn entails(server: &Server, kb: &str, q: &str) -> bool {
+    let resp = call(
+        server,
+        &format!(r#"{{"cmd":"query","kb":"{kb}","q":"{q}"}}"#),
+    );
+    result(&resp)
+        .get("entails")
+        .and_then(Json::as_bool)
+        .expect("query result carries a verdict")
+}
+
+fn revise_field(resp: &Json, field: &str) -> Json {
+    result(resp).get(field).cloned().unwrap_or(Json::Null)
+}
+
+/// The second revision's `z` and `w` are new letters whose ids the
+/// first step already used for its auxiliary copies; the chain must
+/// still answer the revised theory `!a & !b & c & z & w`.
+#[test]
+fn revise_with_new_letters_extends_the_chain_correctly() {
+    let server = Server::new(ServerConfig::default());
+    call(&server, r#"{"cmd":"load","kb":"k","t":"a | b; c"}"#);
+    result(&revise(&server, "k", "dalal", "!a & !b"));
+    let resp = revise(&server, "k", "dalal", "(a | z) & (!c | w)");
+    assert_eq!(revise_field(&resp, "cache").as_str(), Some("miss"));
+    for (q, want) in [
+        ("z", true),
+        ("!z", false),
+        ("a", false),
+        ("w", true),
+        ("c", true),
+        ("!c | w", true),
+        ("a | z", true),
+    ] {
+        assert_eq!(entails(&server, "k", q), want, "query {q}");
+    }
+}
+
+/// `c & !c` turns the chain into `⊥`, and revising `⊥` by `a` keeps
+/// only `a`: `b` is then in neither the running formula nor `!a`, but
+/// is still a base letter and must stay free, never an auxiliary copy.
+#[test]
+fn revise_after_a_degenerate_step_keeps_dropped_letters_free() {
+    let server = Server::new(ServerConfig::default());
+    for op in ["dalal", "weber", "satoh", "winslett", "forbus", "borgida"] {
+        let load = format!(r#"{{"cmd":"load","kb":"{op}","t":"a & b"}}"#);
+        call(&server, &load);
+        for p in ["c & !c", "a", "!a"] {
+            result(&revise(&server, op, op, p));
+        }
+        assert!(entails(&server, op, "!a"), "{op}: !a");
+        assert!(!entails(&server, op, "b"), "{op}: b");
+        assert!(!entails(&server, op, "!b"), "{op}: !b");
+    }
+}
+
+/// A KB whose prefix came from the artifact cache extends that
+/// artifact: same answers and `compiled_size` as a chain compiled
+/// from scratch on a fresh server.
+#[test]
+fn revise_after_a_cache_hit_extends_the_cached_artifact() {
+    let chain = ["!a | !b", "!c", "c | d", "!d & e"];
+    let server = Server::new(ServerConfig::default());
+    let fresh = Server::new(ServerConfig::default());
+    for s in [&server, &fresh] {
+        call(s, r#"{"cmd":"load","kb":"seed","t":"a & b; c -> d"}"#);
+    }
+    result(&revise(&server, "seed", "dalal", chain[0]));
+    call(&server, r#"{"cmd":"load","kb":"k","t":"a & b; c -> d"}"#);
+    let resp = revise(&server, "k", "dalal", chain[0]);
+    assert_eq!(revise_field(&resp, "cache").as_str(), Some("hit"));
+    result(&revise(&fresh, "seed", "dalal", chain[0]));
+    for p in &chain[1..] {
+        let got = revise(&server, "k", "dalal", p);
+        let want = revise(&fresh, "seed", "dalal", p);
+        assert_eq!(revise_field(&got, "cache").as_str(), Some("miss"));
+        assert_eq!(
+            revise_field(&got, "compiled_size"),
+            revise_field(&want, "compiled_size"),
+            "after {p}"
+        );
+        for q in ["a", "b", "c", "d", "!a | !b", "c | d", "a & c", "d -> a"] {
+            assert_eq!(
+                entails(&server, "k", q),
+                entails(&fresh, "seed", q),
+                "query {q} after {p}"
+            );
+        }
+    }
+    assert!(entails(&server, "k", "e"));
+}
+
+/// Switching operators mid-chain still fails with `operator_mismatch`
+/// and leaves the chain intact: the next same-operator revise extends
+/// it as if the failed request never happened.
+#[test]
+fn operator_mismatch_mid_chain_leaves_the_chain_extendable() {
+    let server = Server::new(ServerConfig::default());
+    let fresh = Server::new(ServerConfig::default());
+    for s in [&server, &fresh] {
+        call(s, r#"{"cmd":"load","kb":"k","t":"a & b & c"}"#);
+        result(&revise(s, "k", "weber", "!a | !b"));
+    }
+    for op in ["dalal", "winslett", "gfuv", "widtio"] {
+        let resp = revise(&server, "k", op, "!c");
+        assert_eq!(err_code(&resp), "operator_mismatch", "{op}");
+    }
+    let got = revise(&server, "k", "weber", "!c | a");
+    let want = revise(&fresh, "k", "weber", "!c | a");
+    assert_eq!(
+        revise_field(&got, "compiled_size"),
+        revise_field(&want, "compiled_size")
+    );
+    assert_eq!(revise_field(&got, "revisions").as_u64(), Some(2));
+    for q in ["a", "b", "c", "a | b", "!c | a"] {
+        assert_eq!(entails(&server, "k", q), entails(&fresh, "k", q), "{q}");
+    }
+}
+
+/// A BDD-compiled first step is not extended: the next revise runs the
+/// direct chain from `T`, so its artifact (and `compiled_size`) is the
+/// one any KB with the same chain gets.
+#[test]
+fn revise_after_a_bdd_compile_runs_the_chain_from_t() {
+    let server = Server::new(ServerConfig::default());
+    let fresh = Server::new(ServerConfig::default());
+    call(&server, r#"{"cmd":"load","kb":"k","t":"a & b; c"}"#);
+    call(&fresh, r#"{"cmd":"load","kb":"k","t":"a & b; c"}"#);
+    let resp = call(
+        &server,
+        r#"{"cmd":"revise","kb":"k","op":"dalal","p":"!a | !c","backend":"bdd"}"#,
+    );
+    assert_eq!(revise_field(&resp, "backend").as_str(), Some("bdd"));
+    result(&revise(&fresh, "k", "dalal", "!a | !c"));
+    let got = revise(&server, "k", "dalal", "!b");
+    let want = revise(&fresh, "k", "dalal", "!b");
+    assert_eq!(
+        revise_field(&got, "compiled_size"),
+        revise_field(&want, "compiled_size")
+    );
+    for q in ["a", "b", "c", "a | c", "!b"] {
+        assert_eq!(entails(&server, "k", q), entails(&fresh, "k", q), "{q}");
+    }
+}

@@ -451,6 +451,64 @@ fn replica_write_rejection_is_read_only() {
     result(&call(&replica, r#"{"cmd":"list"}"#));
 }
 
+/// The chain KB's `compiled_size` (from `list`) and its verdicts on
+/// queries over every letter the chain mentions.
+fn chain_state(server: &Server) -> (Option<u64>, Vec<String>) {
+    let resp = call(server, r#"{"cmd":"list"}"#);
+    let size = result(&resp)
+        .get("kbs")
+        .and_then(Json::as_array)
+        .and_then(|kbs| kbs.first())
+        .and_then(|k| k.get("compiled_size"))
+        .and_then(Json::as_u64);
+    let verdicts = ["a", "!a", "b", "c", "d", "e", "a | b", "c -> d", "!b | e"]
+        .iter()
+        .map(|q| {
+            let resp = call(server, &format!(r#"{{"cmd":"query","kb":"k","q":"{q}"}}"#));
+            format!("{q}|{:?}", resp.get("result").or(resp.get("code")))
+        })
+        .collect();
+    (size, verdicts)
+}
+
+/// A replica applies each shipped revise of a five-step Dalal chain
+/// through the same revise path, extending its own chain: after every
+/// step it answers like the primary, with the same `compiled_size`.
+#[test]
+fn replica_follows_a_dalal_chain_step_by_step() {
+    let dir = tmpdir("chain-primary");
+    let rdir = tmpdir("chain-replica");
+    let (primary, addr, primary_thread) = start_primary(&dir);
+    let replica = Server::open(durable_config(&rdir).with_replica_of(Some(addr.to_string())))
+        .expect("open replica");
+    let thread = replica.start_replication().expect("replica replicates");
+    result(&call(
+        &primary,
+        r#"{"cmd":"load","kb":"k","t":"a & b; c -> d"}"#,
+    ));
+    for p in ["!a | !b", "!c", "c | !d", "!a & e", "b <+> d"] {
+        result(&call(
+            &primary,
+            &format!(r#"{{"cmd":"revise","kb":"k","op":"dalal","p":"{p}"}}"#),
+        ));
+        let end = std::fs::metadata(dir.join(LOG_FILE))
+            .expect("primary log")
+            .len();
+        wait_until(
+            &format!("replica to apply revise {p:?}"),
+            Duration::from_secs(30),
+            || replica.replication_status().expect("status").offset == end,
+        );
+        let want = chain_state(&primary);
+        assert!(want.0.is_some());
+        assert_eq!(chain_state(&replica), want, "after {p}");
+    }
+    stop_replica(&replica, thread);
+    shutdown_primary(&primary, primary_thread);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
 // --------------------------------------------------------- property
 
 use proptest::prelude::*;
