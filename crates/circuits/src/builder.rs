@@ -123,21 +123,6 @@ impl<'a, S: VarSupply> CircuitBuilder<'a, S> {
             .collect()
     }
 
-    /// Condition "little-endian number `bits` equals the constant `k`".
-    /// No gate letters needed: a conjunction of literals.
-    pub fn equals_const(&self, bits: &[Wire], k: u64) -> Formula {
-        if bits.len() < 64 && k >= (1u64 << bits.len()) {
-            return Formula::False;
-        }
-        Formula::and_all(bits.iter().enumerate().map(|(i, b)| {
-            if k >> i & 1 == 1 {
-                b.clone()
-            } else {
-                b.clone().not()
-            }
-        }))
-    }
-
     /// Condition "number `a` is strictly less than number `b`"
     /// (little-endian, zero-extended). Direct `O(w²)` formula over the
     /// sum wires; no extra gates.
@@ -187,6 +172,21 @@ impl<'a, S: VarSupply> CircuitBuilder<'a, S> {
     }
 }
 
+/// Condition "little-endian number `bits` equals the constant `k`".
+/// No gate letters needed: a conjunction of literals.
+pub fn equals_const(bits: &[Wire], k: u64) -> Formula {
+    if bits.len() < 64 && k >= (1u64 << bits.len()) {
+        return Formula::False;
+    }
+    Formula::and_all(bits.iter().enumerate().map(|(i, b)| {
+        if k >> i & 1 == 1 {
+            b.clone()
+        } else {
+            b.clone().not()
+        }
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +201,7 @@ mod tests {
             let mut cb = CircuitBuilder::new(&mut supply);
             let wires: Vec<Wire> = inputs.iter().map(|&v| Formula::var(v)).collect();
             let sum = cb.popcount(&wires);
-            let out = cb.equals_const(&sum, k);
+            let out = equals_const(&sum, k);
             let f = cb.finish(out);
             for m in 0..32u64 {
                 assert_eq!(
@@ -250,7 +250,7 @@ mod tests {
             let mut cb = CircuitBuilder::new(&mut supply);
             let sum = cb.add(&a, &b);
             assert_eq!(sum.len(), 3);
-            let out = cb.equals_const(&sum, target);
+            let out = equals_const(&sum, target);
             let f = cb.finish(out);
             for m in 0..16u64 {
                 assert_eq!(
@@ -296,9 +296,7 @@ mod tests {
 
     #[test]
     fn equals_const_out_of_range() {
-        let mut supply = CountingSupply::new(0);
-        let cb = CircuitBuilder::<CountingSupply>::new(&mut supply);
         let bits = vec![Formula::True, Formula::False];
-        assert_eq!(cb.equals_const(&bits, 9), Formula::False);
+        assert_eq!(equals_const(&bits, 9), Formula::False);
     }
 }

@@ -8,11 +8,50 @@
 //! matching the `O(n · log n)` bound the paper cites from
 //! Boppana–Sipser.
 
-use crate::builder::CircuitBuilder;
+use crate::builder::{equals_const, CircuitBuilder, Wire};
 use revkb_logic::{Formula, Var, VarSupply};
 
-/// `EXA(k, X, Y, W)`: true iff `|X △ Y| = k`. Fresh `W` letters come
-/// from `supply`.
+/// Theorem 3.4's popcount circuit: gate letters `W` that compute
+/// `|X △ Y|` in binary, without an output condition. Every assignment
+/// to `X ∪ Y` extends to exactly one model of [`HammingCount::gates`],
+/// so `gates ∧ equals(k)` is `EXA(k, X, Y, W)` for every `k` at once:
+/// a solver loaded with the gates can probe each `k` by assuming the
+/// [`HammingCount::sum`] wires equal the bits of `k`.
+pub struct HammingCount {
+    /// The gate definitions `w ≡ …`.
+    pub gates: Formula,
+    /// `|X △ Y|` as a little-endian binary number over the gates.
+    pub sum: Vec<Wire>,
+}
+
+impl HammingCount {
+    /// The popcount of the difference bits `xᵢ ≢ yᵢ`: an XOR layer
+    /// and an adder tree, `O(n log n)` gates whose letters come from
+    /// `supply`.
+    ///
+    /// # Panics
+    /// If `xs` and `ys` differ in length.
+    pub fn new(xs: &[Var], ys: &[Var], supply: &mut impl VarSupply) -> Self {
+        let mut cb = CircuitBuilder::new(supply);
+        let bits = cb.diff_bits(xs, ys);
+        let sum = cb.popcount(&bits);
+        Self {
+            gates: cb.finish(Formula::True),
+            sum,
+        }
+    }
+
+    /// `EXA`'s output condition `|X △ Y| = k`: a conjunction of
+    /// literals over [`HammingCount::sum`], `⊥` when `k` has more bits
+    /// than the sum.
+    pub fn equals(&self, k: usize) -> Formula {
+        equals_const(&self.sum, k as u64)
+    }
+}
+
+/// `EXA(k, X, Y, W)`: true iff `|X △ Y| = k`, that is
+/// [`HammingCount`]'s gates and its output condition for `k`. Fresh
+/// `W` letters come from `supply`.
 ///
 /// ```
 /// use revkb_circuits::{exa, evaluate_circuit_mask};
@@ -32,26 +71,9 @@ use revkb_logic::{Formula, Var, VarSupply};
 /// If `xs` and `ys` differ in length.
 pub fn exa(k: usize, xs: &[Var], ys: &[Var], supply: &mut impl VarSupply) -> Formula {
     let _span = revkb_obs::span("circuits.exa");
-    let mut cb = CircuitBuilder::new(supply);
-    let bits = cb.diff_bits(xs, ys);
-    let sum = cb.popcount(&bits);
-    let out = cb.equals_const(&sum, k as u64);
-    cb.finish(out)
-}
-
-/// Like [`exa`] but also returns the introduced gate letters `W`.
-pub fn exa_with_aux(
-    k: usize,
-    xs: &[Var],
-    ys: &[Var],
-    supply: &mut impl VarSupply,
-) -> (Formula, Vec<Var>) {
-    let mut cb = CircuitBuilder::new(supply);
-    let bits = cb.diff_bits(xs, ys);
-    let sum = cb.popcount(&bits);
-    let out = cb.equals_const(&sum, k as u64);
-    let aux = cb.aux_vars().to_vec();
-    (cb.finish(out), aux)
+    let count = HammingCount::new(xs, ys, supply);
+    let out = count.equals(k);
+    count.gates.and(out)
 }
 
 /// True iff `|X △ Y| ≤ k`.
@@ -307,14 +329,42 @@ mod tests {
     }
 
     #[test]
-    fn exa_with_aux_reports_gates() {
-        let xs = [Var(0), Var(1)];
-        let ys = [Var(2), Var(3)];
+    fn hamming_count_gates_are_shared_by_every_k() {
+        // One set of gates, every output condition: gates ∧ equals(k)
+        // decides |X △ Y| = k, and equals(k) is ⊥ once k needs more
+        // bits than the sum has.
+        let xs: Vec<Var> = (0..3).map(Var).collect();
+        let ys: Vec<Var> = (3..6).map(Var).collect();
         let mut supply = CountingSupply::new(100);
-        let (f, aux) = exa_with_aux(1, &xs, &ys, &mut supply);
-        assert!(!aux.is_empty());
-        for w in &aux {
-            assert!(f.vars().contains(w));
+        let count = HammingCount::new(&xs, &ys, &mut supply);
+        for k in 0..=3 {
+            let f = count.gates.clone().and(count.equals(k));
+            check_pairs(
+                &f,
+                &xs,
+                &ys,
+                |x, y| (x ^ y).count_ones() as usize == k,
+                &format!("gates ∧ equals({k})"),
+            );
+        }
+        assert_eq!(count.equals(1 << count.sum.len()), Formula::False);
+    }
+
+    #[test]
+    fn exa_matches_the_one_builder_circuit() {
+        // Splitting EXA into gates and output leaves the formula
+        // unchanged: it is the circuit one builder closes with its
+        // output condition, letter for letter.
+        let xs: Vec<Var> = (0..5).map(Var).collect();
+        let ys: Vec<Var> = (5..10).map(Var).collect();
+        for k in 0..=6 {
+            let mut supply = CountingSupply::new(100);
+            let mut cb = CircuitBuilder::new(&mut supply);
+            let bits = cb.diff_bits(&xs, &ys);
+            let sum = cb.popcount(&bits);
+            let out = equals_const(&sum, k as u64);
+            let one_builder = cb.finish(out);
+            assert_eq!(exa(k, &xs, &ys, &mut CountingSupply::new(100)), one_builder);
         }
     }
 }

@@ -58,7 +58,7 @@ pub fn evaluate_circuit_mask(f: &Formula, inputs: &[Var], mask: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::CircuitBuilder;
+    use crate::builder::{equals_const, CircuitBuilder};
     use revkb_logic::CountingSupply;
 
     #[test]
@@ -68,7 +68,7 @@ mod tests {
         let mut cb = CircuitBuilder::new(&mut supply);
         let wires: Vec<Formula> = inputs.iter().map(|&v| Formula::var(v)).collect();
         let sum = cb.popcount(&wires);
-        let out = cb.equals_const(&sum, 2);
+        let out = equals_const(&sum, 2);
         let f = cb.finish(out);
         for mask in 0..8u64 {
             let expected = mask.count_ones() == 2;

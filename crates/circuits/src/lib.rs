@@ -12,9 +12,9 @@ pub mod builder;
 pub mod distance;
 pub mod evaluate;
 
-pub use builder::{CircuitBuilder, Wire};
+pub use builder::{equals_const, CircuitBuilder, Wire};
 pub use distance::{
-    distance_at_most, distance_less_direct, distance_less_than, exa, exa_direct, exa_with_aux,
-    k_subsets,
+    distance_at_most, distance_less_direct, distance_less_than, exa, exa_direct, k_subsets,
+    HammingCount,
 };
 pub use evaluate::{evaluate_circuit, evaluate_circuit_mask};

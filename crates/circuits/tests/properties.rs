@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use revkb_circuits::{
-    distance_at_most, distance_less_direct, evaluate_circuit_mask, exa, exa_direct, k_subsets,
-    CircuitBuilder,
+    distance_at_most, distance_less_direct, equals_const, evaluate_circuit_mask, exa, exa_direct,
+    k_subsets, CircuitBuilder,
 };
 use revkb_logic::{CountingSupply, Formula, Var};
 
@@ -76,7 +76,7 @@ proptest! {
             let mut cb = CircuitBuilder::new(&mut supply);
             let wires: Vec<Formula> = inputs.iter().map(|&v| Formula::var(v)).collect();
             let sum = cb.popcount(&wires);
-            let out = cb.equals_const(&sum, k);
+            let out = equals_const(&sum, k);
             let f = cb.finish(out);
             prop_assert_eq!(
                 evaluate_circuit_mask(&f, &inputs, m),

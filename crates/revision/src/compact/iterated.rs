@@ -39,7 +39,7 @@
 //!   stays polynomial in `|T| + m`.
 
 use crate::compact::rep::CompactRep;
-use crate::distance::{delta_sets_sat, min_distance_sat, supply_above_base};
+use crate::distance::{delta_sets_over, min_distance_over, supply_above_base};
 use crate::semantic::ModelBasedOp;
 use revkb_circuits::{distance_less_direct, exa};
 use revkb_logic::{Formula, Substitution, Var, VarSupply};
@@ -118,18 +118,29 @@ pub(crate) fn extend(
     p.collect_vars(&mut base);
     let xs: Vec<Var> = base.into_iter().collect();
     let supply = &mut supply_above_base([cur.as_ref(), p], &xs);
-    let formula = match degenerate_step(&cur, p) {
-        Some(f) => f,
-        None => match op {
+    // The conventions for an unsatisfiable side, shared by every
+    // operator (as in `semantic::revise_masks`): revising by an
+    // unsatisfiable `p` gives `⊥`, revising `⊥` gives `p`. Dalal,
+    // Weber and Satoh learn that `cur` is unsatisfiable from their
+    // distance oracle, which then finds nothing.
+    let formula = if !revkb_sat::satisfiable(p) {
+        Formula::False
+    } else {
+        match op {
             ModelBasedOp::Dalal => dalal_step(&cur, p, &xs, supply),
             ModelBasedOp::Weber => weber_step(&cur, p, &xs, delta_limit, supply)?,
             ModelBasedOp::Satoh => satoh_step(&cur, p, &xs, delta_limit, supply)?,
+            ModelBasedOp::Winslett | ModelBasedOp::Forbus | ModelBasedOp::Borgida
+                if !revkb_sat::satisfiable(&cur) =>
+            {
+                p.clone()
+            }
             ModelBasedOp::Winslett => {
                 winslett_step(Qbf::prop(cur.into_owned()), p, supply).expand()
             }
             ModelBasedOp::Forbus => forbus_step(Qbf::prop(cur.into_owned()), p, supply).expand(),
             ModelBasedOp::Borgida => borgida_step(cur.into_owned(), p, supply),
-        },
+        }
     };
     Some(CompactRep::query(formula, xs))
 }
@@ -154,32 +165,22 @@ fn rename_aux_apart<'a>(prev: &'a CompactRep, p: &Formula) -> Cow<'a, Formula> {
     Cow::Owned(prev.formula.rename(&clashing, &fresh))
 }
 
-/// The conventions for an unsatisfiable side, shared by every
-/// operator (as in [`crate::semantic::revise_masks`]): revising by an
-/// unsatisfiable `p` gives `⊥`, revising `⊥` gives `p`. `None` when
-/// both are satisfiable — which the step functions then rely on.
-fn degenerate_step(cur: &Formula, p: &Formula) -> Option<Formula> {
-    if !revkb_sat::satisfiable(p) {
-        return Some(Formula::False);
-    }
-    if !revkb_sat::satisfiable(cur) {
-        return Some(p.clone());
-    }
-    None
-}
-
 /// Theorem 5.1, one step of `Φₘ`: a fresh copy `Y` of the alphabet,
 /// `prev[X/Y] ∧ P ∧ EXA(k, X, Y, W)`, with `k` the distance between
-/// `prev` and `P` computed offline. Both sides must be satisfiable.
+/// `prev` and `P` computed offline; `P` itself when `prev` is
+/// unsatisfiable. `P` must be satisfiable.
 fn dalal_step(prev: &Formula, p: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> Formula {
-    let k = min_distance_sat(prev, p, xs);
+    let Some(k) = min_distance_over(prev, p, xs) else {
+        return p.clone();
+    };
     let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
     let exa_k = exa(k, xs, &ys, supply);
     prev.rename(xs, &ys).and(p.clone()).and(exa_k)
 }
 
 /// Corollary 5.2 (formula 10), one step: `prev[Ω/Z] ∧ P` with fresh
-/// letters `Z`. Both sides must be satisfiable.
+/// letters `Z`; `P` itself when `prev` is unsatisfiable. `P` must be
+/// satisfiable.
 fn weber_step(
     prev: &Formula,
     p: &Formula,
@@ -187,10 +188,11 @@ fn weber_step(
     delta_limit: usize,
     supply: &mut impl VarSupply,
 ) -> Option<Formula> {
-    let omega: BTreeSet<Var> = delta_sets_sat(prev, p, xs, delta_limit)?
-        .into_iter()
-        .flatten()
-        .collect();
+    let delta = delta_sets_over(prev, p, xs, delta_limit)?;
+    if delta.is_empty() {
+        return Some(p.clone());
+    }
+    let omega: BTreeSet<Var> = delta.into_iter().flatten().collect();
     let omega: Vec<Var> = omega.into_iter().collect();
     let zs: Vec<Var> = omega.iter().map(|_| supply.fresh_var()).collect();
     Some(prev.rename(&omega, &zs).and(p.clone()))
@@ -277,8 +279,8 @@ pub fn satoh_qbf_paper(t: &Formula, p: &Formula, supply: &mut impl VarSupply) ->
 /// prev[V(P)/Y] ∧ P ∧ ⋁_{S ∈ δᵢ} differ(V(P), Y) = S
 /// ```
 ///
-/// Each step adds `O(2^k · k + |Pⁱ|)` for `k = |V(Pⁱ)|`. Both sides
-/// must be satisfiable.
+/// Each step adds `O(2^k · k + |Pⁱ|)` for `k = |V(Pⁱ)|`. `P` itself
+/// when `prev` is unsatisfiable; `P` must be satisfiable.
 fn satoh_step(
     prev: &Formula,
     p: &Formula,
@@ -286,7 +288,10 @@ fn satoh_step(
     delta_limit: usize,
     supply: &mut impl VarSupply,
 ) -> Option<Formula> {
-    let delta = delta_sets_sat(prev, p, xs, delta_limit)?;
+    let delta = delta_sets_over(prev, p, xs, delta_limit)?;
+    if delta.is_empty() {
+        return Some(p.clone());
+    }
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let ys: Vec<Var> = pvars.iter().map(|_| supply.fresh_var()).collect();
     let renamed = prev.rename(&pvars, &ys);

@@ -6,14 +6,31 @@
 //! pre-compute *offline* (step 1 of the paper's two-step query
 //! answering). Unlike the enumeration oracle in [`crate::semantic`],
 //! everything here runs on the CDCL solver and scales to alphabets far
-//! beyond `2ⁿ` enumeration:
+//! beyond `2ⁿ` enumeration.
 //!
-//! - `k_{T,P}`: probe `T[X/Y] ∧ P ∧ EXA(d, X, Y, W)` for `d = 0, 1, …`
-//! - `δ(T,P)`: find a satisfying difference, shrink it to a ⊆-minimal
-//!   one, block all its supersets, repeat.
+//! Each call runs on **one** incremental solver, loaded once with
+//! `a′ ∧ b ∧ C`: `a′` is `a` with every letter renamed apart, `Y` its
+//! copy of the alphabet `X`, and `C` a circuit over `X` and `Y`.
+//!
+//! - `k_{T,P}`: `C` is Theorem 3.4's popcount of `X △ Y` (`EXA`
+//!   without its output condition, [`revkb_circuits::HammingCount`]).
+//!   Each `d = 0, 1, …` is one solve under the sum wires set to the
+//!   bits of `d` as assumptions; no clause is added per probe.
+//! - `δ(T,P)`: `C` defines one letter `dᵢ ≡ xᵢ ⊕ yᵢ` per letter of
+//!   `X`. Find a satisfying difference; shrink it to a ⊆-minimal one
+//!   by solving under `[act, ¬dᵢ for i ∉ diff]` with the gated clause
+//!   `¬act ∨ ⋁_{i∈diff} ¬dᵢ`, which the unit `¬act` retires
+//!   afterwards; block its supersets with the permanent clause
+//!   `⋁_{i∈diff} ¬dᵢ`; repeat.
+//!
+//! Neither oracle solves `a` or `b` on its own first: every pair of
+//! assignments lies at exactly one distance `d ≤ |X|`, and δ's first
+//! solve is itself a satisfiability test, so an oracle that finds
+//! nothing has an unsatisfiable side.
 
-use revkb_circuits::exa;
-use revkb_logic::{CountingSupply, Formula, Substitution, Var, VarSupply};
+use revkb_circuits::{CircuitBuilder, HammingCount};
+use revkb_logic::{CountingSupply, Formula, Lit, Substitution, Var, VarSupply};
+use revkb_sat::Solver;
 use std::collections::BTreeSet;
 
 /// A supply of fresh letters above every letter of `fs` and of `xs`.
@@ -39,6 +56,16 @@ struct RenamedPair {
     ys: Vec<Var>,
 }
 
+impl RenamedPair {
+    /// One solver loaded with `T′ ∧ p ∧ gates`, the only solver an
+    /// oracle call builds. Tseitin letters come from `supply`, which
+    /// stays above them for later activation letters.
+    fn solver_with(&self, p: &Formula, gates: &Formula, supply: &mut CountingSupply) -> Solver {
+        let base = self.t_renamed.clone().and(p.clone()).and(gates.clone());
+        revkb_sat::solver_for(&base, supply)
+    }
+}
+
 /// Rename *all* letters of `t` to fresh ones so it shares nothing with
 /// `p`; returns the copies of the base letters `xs` (other letters get
 /// fresh names too, keeping any auxiliary letters of `t` disjoint).
@@ -61,6 +88,42 @@ fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> Renamed
     }
 }
 
+/// The solver literal of a circuit wire that is a letter or a negated
+/// letter.
+fn literal(wire: &Formula) -> Lit {
+    match wire {
+        Formula::Var(v) => Lit::pos(*v),
+        Formula::Not(inner) => match inner.as_ref() {
+            Formula::Var(v) => Lit::neg(*v),
+            other => unreachable!("not a literal: ¬{other:?}"),
+        },
+        other => unreachable!("not a literal: {other:?}"),
+    }
+}
+
+/// The assumptions for `|X △ Y| = d` over the little-endian wires of
+/// [`HammingCount::sum`]; `None` when no assignment has that sum
+/// (`d` needs more bits than the sum has, or sets a bit whose wire is
+/// the constant `⊥` that the adder tree leaves for a carry of nothing).
+fn sum_equals(sum: &[Formula], d: usize) -> Option<Vec<Lit>> {
+    if d.checked_shr(sum.len() as u32).unwrap_or(0) != 0 {
+        return None;
+    }
+    let mut lits = Vec::with_capacity(sum.len());
+    for (i, wire) in sum.iter().enumerate() {
+        let bit = d >> i & 1 == 1;
+        match wire {
+            Formula::False if bit => return None,
+            Formula::False => {}
+            _ => {
+                let lit = literal(wire);
+                lits.push(if bit { lit } else { lit.negated() });
+            }
+        }
+    }
+    Some(lits)
+}
+
 /// `k_{T,P}` generalised: the minimum Hamming distance, measured over
 /// the letters `xs`, between models of `a` and models of `b`.
 /// Letters of `a`/`b` outside `xs` are free. Returns `None` when
@@ -70,25 +133,13 @@ fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> Renamed
 /// representation with auxiliary letters, whose projection onto `xs`
 /// is the current revised theory.
 pub fn min_distance_over(a: &Formula, b: &Formula, xs: &[Var]) -> Option<usize> {
-    if !revkb_sat::satisfiable(a) || !revkb_sat::satisfiable(b) {
-        return None;
-    }
-    Some(min_distance_sat(a, b, xs))
-}
-
-/// [`min_distance_over`] for callers that already know both `a` and
-/// `b` are satisfiable, so neither is solved again here.
-pub(crate) fn min_distance_sat(a: &Formula, b: &Formula, xs: &[Var]) -> usize {
     let mut supply = supply_above_base([a, b], xs);
     let renamed = rename_apart(a, xs, &mut supply);
-    let base = renamed.t_renamed.and(b.clone());
-    for d in 0..=xs.len() {
-        let probe = base.clone().and(exa(d, xs, &renamed.ys, &mut supply));
-        if revkb_sat::satisfiable(&probe) {
-            return d;
-        }
-    }
-    unreachable!("distance over |xs| letters cannot exceed |xs|")
+    let count = HammingCount::new(xs, &renamed.ys, &mut supply);
+    let mut solver = renamed.solver_with(b, &count.gates, &mut supply);
+    (0..=xs.len()).find(|&d| {
+        sum_equals(&count.sum, d).is_some_and(|lits| solver.solve_under_assumptions(&lits))
+    })
 }
 
 /// `k_{T,P}`: minimum distance between models of `t` and models of
@@ -108,22 +159,9 @@ pub fn min_distance(t: &Formula, p: &Formula) -> Option<usize> {
 
 /// Enumerate `δ(T,P)` — the ⊆-minimal difference sets between models
 /// of `a` and models of `b`, measured over `xs` — up to `limit` sets.
-/// Returns `None` if the limit was exceeded.
+/// Returns `None` if the limit was exceeded, and no sets when either
+/// formula is unsatisfiable.
 pub fn delta_sets_over(
-    a: &Formula,
-    b: &Formula,
-    xs: &[Var],
-    limit: usize,
-) -> Option<Vec<BTreeSet<Var>>> {
-    if !revkb_sat::satisfiable(a) || !revkb_sat::satisfiable(b) {
-        return Some(Vec::new());
-    }
-    delta_sets_sat(a, b, xs, limit)
-}
-
-/// [`delta_sets_over`] for callers that already know both `a` and `b`
-/// are satisfiable, so neither is solved again here.
-pub(crate) fn delta_sets_sat(
     a: &Formula,
     b: &Formula,
     xs: &[Var],
@@ -131,41 +169,43 @@ pub(crate) fn delta_sets_sat(
 ) -> Option<Vec<BTreeSet<Var>>> {
     let mut supply = supply_above_base([a, b], xs);
     let renamed = rename_apart(a, xs, &mut supply);
-    let ys = &renamed.ys;
-    // Working constraint: a(Y) ∧ b(X) ∧ blocking clauses.
-    let mut constraint = renamed.t_renamed.and(b.clone());
+    // dᵢ ≡ xᵢ ⊕ yᵢ: Theorem 3.4's XOR layer, one letter per position.
+    let mut cb = CircuitBuilder::new(&mut supply);
+    let ds: Vec<Lit> = cb.diff_bits(xs, &renamed.ys).iter().map(literal).collect();
+    let gates = cb.finish(Formula::True);
+    let mut solver = renamed.solver_with(b, &gates, &mut supply);
+    let differing = |solver: &Solver| -> Vec<usize> {
+        (0..xs.len())
+            .filter(|&i| solver.model_value(ds[i].var()) == ds[i].is_positive())
+            .collect()
+    };
+    // "Agree on at least one letter of diff."
+    let agree_somewhere =
+        |diff: &[usize]| -> Vec<Lit> { diff.iter().map(|&i| ds[i].negated()).collect() };
     let mut found: Vec<BTreeSet<Var>> = Vec::new();
 
-    // diff(x_i) ≡ (x_i ≢ y_i): expressed directly per letter.
-    let agrees = |i: usize| Formula::var(xs[i]).iff(Formula::var(ys[i]));
-
-    loop {
-        let model = match revkb_sat::find_model(&constraint) {
-            None => return Some(found),
-            Some(m) => m,
-        };
-        // Current difference set.
-        let mut diff: BTreeSet<usize> = (0..xs.len())
-            .filter(|&i| model.contains(&xs[i]) != model.contains(&ys[i]))
-            .collect();
+    while solver.solve() {
+        let mut diff = differing(&solver);
         // Shrink to a ⊆-minimal difference: ask for a strictly smaller
-        // one (agree outside diff, differ on a strict subset).
-        loop {
-            let smaller = Formula::and_all((0..xs.len()).filter(|i| !diff.contains(i)).map(agrees))
-                .and(if diff.is_empty() {
-                    Formula::False
-                } else {
-                    Formula::or_all(diff.iter().map(|&i| agrees(i)))
-                })
-                .and(constraint.clone());
-            match revkb_sat::find_model(&smaller) {
-                None => break, // diff is minimal
-                Some(m2) => {
-                    diff = (0..xs.len())
-                        .filter(|&i| m2.contains(&xs[i]) != m2.contains(&ys[i]))
-                        .collect();
-                }
+        // one (agree outside diff, and on some letter of diff) under a
+        // one-shot activation letter.
+        while !diff.is_empty() {
+            let act = Lit::pos(supply.fresh_var());
+            let mut gated = agree_somewhere(&diff);
+            gated.push(act.negated());
+            solver.add_clause(&gated);
+            let mut assumptions = vec![act];
+            assumptions.extend(
+                (0..xs.len())
+                    .filter(|i| diff.binary_search(i).is_err())
+                    .map(|i| ds[i].negated()),
+            );
+            let smaller = solver.solve_under_assumptions(&assumptions);
+            solver.add_clause(&[act.negated()]);
+            if !smaller {
+                break; // diff is minimal
             }
+            diff = differing(&solver);
         }
         if found.len() >= limit {
             return None;
@@ -177,9 +217,10 @@ pub(crate) fn delta_sets_sat(
             found.push(BTreeSet::new());
             return Some(found);
         }
-        constraint = constraint.and(Formula::or_all(diff.iter().map(|&i| agrees(i))));
+        solver.add_clause(&agree_somewhere(&diff));
         found.push(diff.into_iter().map(|i| xs[i]).collect());
     }
+    Some(found)
 }
 
 /// `δ(T,P)` over `V(T) ∪ V(P)`, up to `limit` sets.
@@ -294,36 +335,6 @@ mod tests {
         assert_eq!(min_distance(&t, &p), None);
         assert_eq!(min_distance(&p, &t), None);
         assert!(delta_sets(&t, &p, 100).unwrap().is_empty());
-    }
-
-    #[test]
-    fn random_cross_check() {
-        let mut seed = 7u64;
-        let mut rnd = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as u32
-        };
-        fn build(rnd: &mut impl FnMut() -> u32, depth: u32, nv: u32) -> Formula {
-            let r = rnd();
-            if depth == 0 || r.is_multiple_of(6) {
-                return Formula::lit(Var(r % nv), r & 1 == 0);
-            }
-            let a = build(rnd, depth - 1, nv);
-            let b = build(rnd, depth - 1, nv);
-            match r % 4 {
-                0 => a.and(b),
-                1 => a.or(b),
-                2 => a.xor(b),
-                _ => a.implies(b),
-            }
-        }
-        for _ in 0..25 {
-            let t = build(&mut rnd, 3, 4);
-            let p = build(&mut rnd, 3, 4);
-            check_against_oracle(&t, &p);
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 
 use crate::distance::{delta_sets_over, min_distance_over, omega_over, union_vars};
 use crate::semantic::ModelBasedOp;
-use revkb_circuits::exa;
-use revkb_logic::{Formula, Interpretation, Var, VarSupply};
+use revkb_logic::{Formula, Interpretation, Var};
 
 /// Why a model check could not be completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,36 +47,10 @@ fn truth(m: &Interpretation) -> impl Fn(Var) -> bool + '_ {
     move |v| m.contains(&v)
 }
 
-/// Minimum Hamming distance, over `xs`, from the fixed interpretation
-/// `m` to the models of `f`. `None` if `f` is unsatisfiable.
-fn distance_to(m: &Interpretation, f: &Formula, xs: &[Var]) -> Option<usize> {
-    if !revkb_sat::satisfiable(f) {
-        return None;
-    }
-    // Pin a fresh copy of xs to m's values and measure EXA against
-    // f's xs. The watermark must clear xs as well as V(f): xs can
-    // contain letters absent from f (e.g. letters of P).
-    let watermark = f
-        .vars()
-        .iter()
-        .chain(xs.iter())
-        .map(|v| v.0 + 1)
-        .max()
-        .unwrap_or(0);
-    let mut supply = revkb_logic::CountingSupply::new(watermark);
-    let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
-    let pin = Formula::and_all(
-        ys.iter()
-            .zip(xs)
-            .map(|(&y, &x)| Formula::lit(y, m.contains(&x))),
-    );
-    for d in 0..=xs.len() {
-        let probe = f.clone().and(pin.clone()).and(exa(d, xs, &ys, &mut supply));
-        if revkb_sat::satisfiable(&probe) {
-            return Some(d);
-        }
-    }
-    unreachable!("distance bounded by |xs|")
+/// `m` restricted to `xs` as a conjunction of literals: the formula
+/// whose only model over `xs` is `m`.
+fn cube(m: &Interpretation, xs: &[Var]) -> Formula {
+    Formula::and_all(xs.iter().map(|&x| Formula::lit(x, m.contains(&x))))
 }
 
 /// All subsets of `vars` as vectors.
@@ -134,7 +107,7 @@ pub fn model_check(
     match op {
         ModelBasedOp::Dalal => {
             let k = min_distance_over(t, p, &xs).expect("both satisfiable");
-            let d = distance_to(m, t, &xs).expect("t satisfiable");
+            let d = min_distance_over(t, &cube(m, &xs), &xs).expect("t satisfiable");
             Ok(d == k)
         }
         ModelBasedOp::Weber => {
