@@ -68,6 +68,24 @@ impl ActivityHeap {
         self.sift_up(i);
     }
 
+    /// Take `v` out of the queue (no-op if it is not queued) and reset
+    /// its activity to zero, as for a letter that was never used.
+    pub fn release(&mut self, v: Var) {
+        let pos = self.position[v.index()];
+        if pos != NOT_IN_HEAP {
+            let pos = pos as usize;
+            let last = self.heap.pop().expect("a queued letter is in the heap");
+            self.position[v.index()] = NOT_IN_HEAP;
+            if pos < self.heap.len() {
+                self.heap[pos] = last;
+                self.position[last as usize] = pos as u32;
+                self.sift_up(pos);
+                self.sift_down(self.position[last as usize] as usize);
+            }
+        }
+        self.activity[v.index()] = 0.0;
+    }
+
     /// Remove and return the variable with maximal activity.
     pub fn pop(&mut self) -> Option<Var> {
         if self.heap.is_empty() {
@@ -197,6 +215,23 @@ mod tests {
         assert_eq!(h.pop(), Some(Var(2)));
         assert_eq!(h.pop(), Some(Var(1)));
         assert!((h.activity(Var(2)) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn release_unqueues_and_forgets_activity() {
+        let mut h = ActivityHeap::new();
+        h.grow_to(6);
+        for i in 0..6 {
+            h.bump(Var(i), f64::from(i));
+        }
+        h.release(Var(3));
+        h.release(Var(5));
+        assert!(!h.contains(Var(3)));
+        assert_eq!(h.activity(Var(5)), 0.0);
+        let order: Vec<Var> = std::iter::from_fn(|| h.pop()).collect();
+        assert_eq!(order, vec![Var(4), Var(2), Var(1), Var(0)]);
+        h.insert(Var(5));
+        assert_eq!(h.pop(), Some(Var(5)));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! procedures for the `revkb` belief-revision system.
 //!
 //! - [`Solver`]: incremental CDCL (two-watched literals, first-UIP
-//!   learning, VSIDS, Luby restarts, phase saving, assumptions);
+//!   learning, VSIDS, Luby restarts, phase saving, assumptions,
+//!   retirement of gated clause groups with letter recycling);
 //! - [`satisfiable`] / [`entails`] / [`equivalent`] / [`find_model`]:
 //!   formula-level queries via the Tseitin transform;
 //! - [`models_projected`]: all-SAT with projection onto a
@@ -31,5 +32,5 @@ pub use api::{
 };
 pub use enumerate::{all_models, count_models_projected, models_projected};
 pub use pool::{default_threads, PoolConfig, PoolStats, SessionPool, THREADS_ENV};
-pub use session::{QuerySession, SolverStats};
-pub use solver::{constructions, luby, LBool, Solver, Stats};
+pub use session::{QuerySession, SolverStats, MEMO_CAPACITY};
+pub use solver::{constructions, luby, GroupStart, LBool, Solver, Stats};

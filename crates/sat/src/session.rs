@@ -11,21 +11,35 @@
 //! - the CNF of `T'` is Tseitin-loaded exactly once, at construction;
 //! - each query encodes `¬Q` under a fresh *activation literal* `a`:
 //!   the definition clauses of `Q` and the clause `¬a ∨ ¬root(Q)` are
-//!   added, the solver runs under the assumption `a`, and afterwards
-//!   the unit `¬a` permanently disables the query-specific clauses
-//!   while every learned clause stays usable;
+//!   added, each carrying `¬a`, and the solver runs under the
+//!   assumption `a`;
+//! - afterwards [`Solver::retire`] asserts `¬a` and deletes the
+//!   query's group: its clauses and the learnts derived from them
+//!   (which all carry `¬a`). Learnts about `T'` alone stay usable. The
+//!   query's letters leave the decision heap and go back to the
+//!   session's letter supply, which hands them out again before it
+//!   draws new ones. So the solver holds `T'`, its learnts and at most
+//!   one query at a time, and the 100,000th query costs what the first
+//!   did;
 //! - a memo cache keyed by the query's structural hash makes repeated
-//!   queries O(1);
+//!   queries O(1); it holds the last [`MEMO_CAPACITY`] distinct
+//!   queries, the oldest leaving first;
 //! - a [`SolverStats`] block (decisions, conflicts, propagations,
 //!   restarts, learned clauses, cache traffic, wall time) makes the
 //!   hot path observable.
 
 use crate::api::supply_above;
 use crate::solver::Solver;
-use revkb_logic::{tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, VarSupply};
+use revkb_logic::{
+    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, Var, VarSupply,
+};
 use revkb_obs::Json;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
+
+/// Distinct queries a [`QuerySession`] memoises; beyond it the oldest
+/// answer is forgotten first.
+pub const MEMO_CAPACITY: usize = 256;
 
 // Registry mirrors of the session counters. `SolverStats` stays the
 // JSON-visible source of truth (its shape is pinned by tests); these
@@ -67,7 +81,7 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Learned clauses currently retained.
     pub learnt_clauses: u64,
-    /// Learned clauses deleted by DB reduction.
+    /// Learned clauses deleted by DB reduction or query retirement.
     pub learnts_removed: u64,
     /// Total wall time spent answering queries, in microseconds.
     pub total_query_micros: u64,
@@ -143,12 +157,32 @@ impl SolverStats {
 #[derive(Debug, Clone)]
 pub struct QuerySession {
     solver: Solver,
-    supply: CountingSupply,
+    letters: Letters,
     /// First variable index owned by the session's Tseitin encodings;
     /// queries must stay strictly below it.
     first_internal_var: u32,
     cache: HashMap<Formula, bool>,
+    /// The memoised queries, oldest first.
+    cache_order: VecDeque<Formula>,
     stats: SolverStats,
+}
+
+/// The session's supply of internal letters: letters of retired
+/// queries first, then new ones from the watermark supply.
+#[derive(Debug, Clone)]
+struct Letters {
+    supply: CountingSupply,
+    free: Vec<Var>,
+    /// Letters handed out to the query being answered.
+    drawn: Vec<Var>,
+}
+
+impl VarSupply for Letters {
+    fn fresh_var(&mut self) -> Var {
+        let v = self.free.pop().unwrap_or_else(|| self.supply.fresh_var());
+        self.drawn.push(v);
+        v
+    }
 }
 
 impl QuerySession {
@@ -182,9 +216,14 @@ impl QuerySession {
         solver.add_cnf(&cnf);
         QuerySession {
             solver,
-            supply,
+            letters: Letters {
+                supply,
+                free: Vec::new(),
+                drawn: Vec::new(),
+            },
             first_internal_var,
             cache: HashMap::new(),
+            cache_order: VecDeque::new(),
             stats: SolverStats {
                 base_loads: 1,
                 solver_constructions: 1,
@@ -226,13 +265,14 @@ impl QuerySession {
             );
         }
 
-        // Encode ¬q under a fresh activation literal: definition
-        // clauses are two-sided Tseitin definitions (harmless to keep
-        // permanently), and the root-negation clause is gated so a
-        // later unit ¬act retires it without touching learned clauses.
+        // Encode ¬q as one clause group gated by a fresh activation
+        // literal, so that retiring the group after the solve leaves
+        // the solver as it was before the query, plus its learnts
+        // about the base.
+        let group = self.solver.group_start();
         let mut defs = Cnf::new();
-        let root = tseitin_definitions(q, &mut defs, &mut self.supply);
-        let act = Lit::pos(self.supply.fresh_var());
+        let root = tseitin_definitions(q, &mut defs, &mut self.letters);
+        let act = Lit::pos(self.letters.fresh_var());
         for clause in &defs.clauses {
             let mut gated = clause.clone();
             gated.push(act.negated());
@@ -250,13 +290,25 @@ impl QuerySession {
         OBS_CONFLICTS.add(after.conflicts - before.conflicts);
         OBS_PROPAGATIONS.add(after.propagations - before.propagations);
         OBS_RESTARTS.add(after.restarts - before.restarts);
-        // Permanently disable this query's activation group.
-        self.solver.add_clause(&[act.negated()]);
+        self.solver.retire(group, act, &self.letters.drawn);
+        self.letters.free.append(&mut self.letters.drawn);
 
         let answer = !counterexample;
-        self.cache.insert(q.clone(), answer);
+        self.remember(q, answer);
         self.record_time(start);
         answer
+    }
+
+    /// Memoise a solved query, forgetting the oldest beyond
+    /// [`MEMO_CAPACITY`].
+    fn remember(&mut self, q: &Formula, answer: bool) {
+        if self.cache_order.len() == MEMO_CAPACITY {
+            if let Some(oldest) = self.cache_order.pop_front() {
+                self.cache.remove(&oldest);
+            }
+        }
+        self.cache.insert(q.clone(), answer);
+        self.cache_order.push_back(q.clone());
     }
 
     /// Is the loaded base consistent? (Answered incrementally; the
@@ -280,7 +332,7 @@ impl QuerySession {
         }
     }
 
-    /// Number of distinct queries memoised so far.
+    /// Number of distinct queries memoised (at most [`MEMO_CAPACITY`]).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
@@ -405,6 +457,44 @@ mod tests {
         assert_eq!(merged.total_query_micros, 1600);
         // "Most recent" across concurrent sessions: keep the max.
         assert_eq!(merged.last_query_micros, 80);
+    }
+
+    #[test]
+    fn retired_queries_give_back_their_clauses_letters_and_memo_slots() {
+        let base = Formula::and_all((0..8).map(|i| v(i).or(v((i + 3) % 8).not())));
+        let mut s = QuerySession::new(&base);
+        let loaded_vars = s.solver.num_vars();
+        let loaded_clauses = s.solver.num_clauses();
+        let mut seed = 0x5E55_1017u64;
+        let mut widest = 0;
+        for _ in 0..2_000 {
+            let q = crate::pseudo_random_formula(&mut seed, 4, 8);
+            // At most one Tseitin letter per node, plus `act`.
+            widest = widest.max(q.node_count() + 1);
+            assert_eq!(s.entails(&q), crate::entails(&base, &q), "{q:?}");
+            assert_eq!(
+                s.solver.num_clauses() - s.solver.num_learnts(),
+                loaded_clauses
+            );
+        }
+        assert!(s.solver.num_vars() <= loaded_vars + widest);
+        assert_eq!(s.cache_len(), MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn the_memo_forgets_its_oldest_query_first() {
+        let mut s = QuerySession::with_query_alphabet(&v(0), MEMO_CAPACITY as u32 + 2);
+        let queries: Vec<Formula> = (0..=MEMO_CAPACITY as u32)
+            .map(|i| v(0).or(v(i + 1)))
+            .collect();
+        for q in &queries {
+            assert!(s.entails(q));
+        }
+        assert_eq!(s.cache_len(), MEMO_CAPACITY);
+        assert!(s.entails(&queries[MEMO_CAPACITY]));
+        assert_eq!(s.stats().cache_hits, 1, "the newest query is remembered");
+        assert!(s.entails(&queries[0]));
+        assert_eq!(s.stats().cache_hits, 1, "the oldest query was forgotten");
     }
 
     #[test]

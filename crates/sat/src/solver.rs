@@ -1,7 +1,8 @@
 //! A CDCL SAT solver in the MiniSat lineage: two-watched-literal
 //! propagation, first-UIP clause learning with local minimisation,
 //! EVSIDS variable activities, Luby restarts, phase saving, learnt-DB
-//! reduction, and incremental solving under assumptions.
+//! reduction, incremental solving under assumptions, and retirement of
+//! clause groups with recycling of their letters.
 //!
 //! The revision machinery issues thousands of entailment, consistency
 //! and minimum-distance probes (`T' ⊨ Q`, `T' ∪ {P} ⊭ ⊥`,
@@ -48,6 +49,15 @@ struct ClauseHeader {
     activity: f64,
 }
 
+/// Where a clause group begins in the clause arena: taken by
+/// [`Solver::group_start`] before the group's first clause is added,
+/// consumed by [`Solver::retire`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupStart {
+    first: usize,
+    compactions: u64,
+}
+
 /// Solver statistics, cumulative across `solve` calls.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Stats {
@@ -59,7 +69,7 @@ pub struct Stats {
     pub propagations: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// Learnt clauses deleted by DB reduction.
+    /// Learnt clauses deleted by DB reduction or group retirement.
     pub learnts_removed: u64,
 }
 
@@ -83,6 +93,11 @@ pub struct Solver {
     seen: Vec<bool>,
     num_learnts: usize,
     max_learnts: usize,
+    /// Clauses marked deleted but still in the arena.
+    num_deleted: usize,
+    /// Arena compactions so far; a [`GroupStart`] is valid only
+    /// within the compaction epoch it was taken in.
+    compactions: u64,
     stored_model: Vec<bool>,
     /// Statistics.
     pub stats: Stats,
@@ -123,6 +138,8 @@ impl Solver {
             seen: Vec::new(),
             num_learnts: 0,
             max_learnts: 2000,
+            num_deleted: 0,
+            compactions: 0,
             stored_model: Vec::new(),
             stats: Stats::default(),
         }
@@ -133,9 +150,17 @@ impl Solver {
         self.assigns.len()
     }
 
-    /// Make sure variable `v` exists.
+    /// Make sure variable `v` exists. A letter that [`Solver::retire`]
+    /// released is queued for decisions again.
     pub fn ensure_var(&mut self, v: Var) {
         let need = v.index() + 1;
+        if need <= self.assigns.len() {
+            // Every unassigned letter is queued, except a released one.
+            if self.assigns[v.index()] == LBool::Undef && !self.heap.contains(v) {
+                self.heap.insert(v);
+            }
+            return;
+        }
         while self.assigns.len() < need {
             self.assigns.push(LBool::Undef);
             self.polarity.push(false);
@@ -531,11 +556,22 @@ impl Solver {
             if locked.contains(&(i as u32)) {
                 continue;
             }
-            self.headers[i].deleted = true;
+            self.delete_clause(i);
+        }
+        self.rebuild_watches();
+    }
+
+    fn delete_clause(&mut self, cref: usize) {
+        self.headers[cref].deleted = true;
+        self.num_deleted += 1;
+        if self.headers[cref].learnt {
             self.num_learnts -= 1;
             self.stats.learnts_removed += 1;
         }
-        // Rebuild watches from scratch, dropping deleted clauses.
+    }
+
+    /// Rebuild every watch list from scratch, dropping deleted clauses.
+    fn rebuild_watches(&mut self) {
         for w in &mut self.watches {
             w.clear();
         }
@@ -553,6 +589,107 @@ impl Solver {
                 blocker: c[0],
             });
         }
+    }
+
+    /// Mark the start of a clause group: clauses added from now on,
+    /// and the learnts derived from them, belong to it until
+    /// [`Solver::retire`] is called with the returned mark.
+    pub fn group_start(&self) -> GroupStart {
+        GroupStart {
+            first: self.clauses.len(),
+            compactions: self.compactions,
+        }
+    }
+
+    /// Retire the clause group that began at `start` and is gated by
+    /// the activation literal `act` (every clause of the group carries
+    /// `¬act`), then release `letters` (the group's own letters, `act`
+    /// among them) for reuse.
+    ///
+    /// The unit `¬act` is asserted, and every clause added since
+    /// `start` that is now satisfied at level 0 is deleted: the gated
+    /// clauses, and every learnt derived from one of them, since such
+    /// a learnt keeps `¬act` (`act` is an assumption, so no
+    /// minimisation drops it). Learnts that do not mention `act` are
+    /// consequences of the other clauses and stay. The arena is
+    /// compacted, and the watches rebuilt, only once deleted clauses
+    /// outnumber live ones, so retirement costs amortised O(group).
+    ///
+    /// The released letters leave the decision heap and the trail;
+    /// the caller may hand them out again, and [`Solver::ensure_var`]
+    /// (called by [`Solver::add_clause`]) queues a reused letter anew.
+    ///
+    /// # Panics
+    ///
+    /// If another group was retired (and the arena compacted) after
+    /// `start` was taken: groups are retired in the order they start,
+    /// one at a time.
+    pub fn retire(&mut self, start: GroupStart, act: Lit, letters: &[Var]) {
+        assert_eq!(
+            start.compactions, self.compactions,
+            "Solver::retire: the group's start mark predates a compaction"
+        );
+        if !self.ok {
+            return;
+        }
+        self.add_clause(&[act.negated()]);
+        for i in start.first..self.clauses.len() {
+            if !self.headers[i].deleted
+                && self.clauses[i]
+                    .iter()
+                    .any(|&l| self.value_lit(l) == LBool::True)
+            {
+                self.delete_clause(i);
+            }
+        }
+        let letters: Vec<Var> = letters
+            .iter()
+            .copied()
+            .filter(|v| v.index() < self.num_vars())
+            .collect();
+        for &v in &letters {
+            self.seen[v.index()] = true;
+        }
+        debug_assert!(
+            (start.first..self.clauses.len())
+                .filter(|&i| !self.headers[i].deleted)
+                .all(|i| self.clauses[i].iter().all(|l| !self.seen[l.var().index()])),
+            "a live clause mentions a released letter"
+        );
+        if letters
+            .iter()
+            .any(|&v| self.assigns[v.index()] != LBool::Undef)
+        {
+            let seen = &self.seen;
+            self.trail.retain(|l| !seen[l.var().index()]);
+            self.qhead = self.trail.len();
+        }
+        for &v in &letters {
+            self.seen[v.index()] = false;
+            self.assigns[v.index()] = LBool::Undef;
+            self.reason[v.index()] = NO_REASON;
+            self.polarity[v.index()] = false;
+            self.heap.release(v);
+        }
+        if self.num_deleted > self.clauses.len() - self.num_deleted {
+            self.compact();
+        }
+    }
+
+    /// Drop deleted clauses from the arena and rebuild the watches.
+    /// Runs at level 0, where no reason is ever consulted again, so
+    /// the trail's reasons are reset instead of remapped.
+    fn compact(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
+        let mut keep = self.headers.iter().map(|h| !h.deleted);
+        self.clauses.retain(|_| keep.next().unwrap_or(false));
+        self.headers.retain(|h| !h.deleted);
+        for l in &self.trail {
+            self.reason[l.var().index()] = NO_REASON;
+        }
+        self.num_deleted = 0;
+        self.compactions += 1;
+        self.rebuild_watches();
     }
 
     /// CDCL search with a conflict budget.
@@ -844,6 +981,54 @@ mod tests {
         assert!(s.model_value(Var(1)));
         s.add_clause(&[neg(1)]);
         assert!(!s.solve());
+    }
+
+    #[test]
+    fn retire_deletes_the_group_and_releases_its_letters() {
+        // Base: x0 ∨ x1, ¬x0 ∨ x2. Each round gates a group on x9 that
+        // forces x0 through x3 and then contradicts it, so every solve
+        // under x9 is unsatisfiable and learns from the group.
+        let mut s = Solver::new();
+        s.add_clause(&[pos(0), pos(1)]);
+        s.add_clause(&[neg(0), pos(2)]);
+        let base = s.num_clauses();
+        for round in 0..500 {
+            let start = s.group_start();
+            s.add_clause(&[neg(9), pos(3), pos(0)]);
+            s.add_clause(&[neg(9), neg(3)]);
+            s.add_clause(&[neg(9), neg(0), neg(2)]);
+            assert!(!s.solve_under_assumptions(&[pos(9)]), "round {round}");
+            s.retire(start, pos(9), &[Var(3), Var(9)]);
+            assert_eq!(s.num_clauses() - s.num_learnts(), base);
+            assert!(s.clauses.len() <= 2 * s.num_clauses() + 3);
+            for v in [Var(3), Var(9)] {
+                assert_eq!(s.value_var(v), LBool::Undef);
+                assert!(!s.heap.contains(v));
+            }
+            assert!(s.trail.iter().all(|l| l.var() != Var(9)));
+            assert!(s.solve());
+        }
+        assert_eq!(s.num_vars(), 10);
+        assert!(s.compactions > 0);
+        // A released letter is decided again once a clause reuses it.
+        s.add_clause(&[pos(3), pos(4)]);
+        assert!(s.heap.contains(Var(3)));
+        assert!(s.solve());
+    }
+
+    #[test]
+    #[should_panic(expected = "predates a compaction")]
+    fn retire_rejects_a_stale_group_start() {
+        let mut s = Solver::new();
+        s.add_clause(&[pos(0), pos(1)]);
+        let stale = s.group_start();
+        for _ in 0..3 {
+            let start = s.group_start();
+            s.add_clause(&[neg(9), pos(3)]);
+            s.add_clause(&[neg(9), neg(3), pos(0)]);
+            s.retire(start, pos(9), &[Var(3), Var(9)]);
+        }
+        s.retire(stale, pos(9), &[Var(9)]);
     }
 
     #[test]

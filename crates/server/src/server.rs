@@ -536,6 +536,14 @@ pub struct Server {
 /// Engine-or-protocol failure inside command execution.
 type ExecError = (&'static str, String);
 
+fn fenced() -> ExecError {
+    (
+        codes::READ_ONLY,
+        "a write-ahead log append failed on this server; it refuses writes until restarted"
+            .to_string(),
+    )
+}
+
 fn engine_err(e: Error) -> ExecError {
     (e.code(), e.to_string())
 }
@@ -765,21 +773,26 @@ impl Server {
         }
     }
 
-    /// Log one committed mutation. Called with the relevant KB or
-    /// registry lock held, so log order matches apply order; no-op
-    /// without a data directory and during boot replay. An append
-    /// failure is counted and reported on stderr but does not fail the
-    /// request — the operation already succeeded in memory, and
-    /// refusing to answer would not make the disk healthier.
-    fn wal_append(&self, op: WalOp, trace: u64) {
+    /// Log one mutation before it is applied. Called with the
+    /// relevant KB or registry lock held, so log order matches apply
+    /// order; no-op without a data directory and during boot replay.
+    ///
+    /// Fails closed: an append error fails the request (`read_only`),
+    /// which then must not be applied, and fences the node. Every
+    /// later write is refused, here and at the gate, so the log holds
+    /// exactly the writes the clients were told succeeded.
+    fn wal_append(&self, op: WalOp, trace: u64) -> Result<(), ExecError> {
         let Some(wal) = &self.inner.wal else {
-            return;
+            return Ok(());
         };
         if self.inner.replaying.load(Ordering::SeqCst) {
-            return;
+            return Ok(());
         }
         let start = Instant::now();
         let mut wal = wal.lock().expect("wal poisoned");
+        if wal.append_errors > 0 {
+            return Err(fenced());
+        }
         // The record lands at the current end of the log; stamping the
         // span with that offset (and the trace id) makes a primary's
         // append joinable with the replica's replay of the same record.
@@ -800,9 +813,15 @@ impl Server {
                 wal.append_errors += 1;
                 metrics::WAL_APPEND_ERRORS.inc();
                 obs::error("wal", Some(trace), || {
-                    format!("revkb-server: wal append failed: {e}")
+                    format!("revkb-server: wal append failed: {e}; refusing further writes")
                 });
-                return;
+                return Err((
+                    codes::READ_ONLY,
+                    format!(
+                        "write-ahead log append failed ({e}); the write was not applied \
+                         and this server now refuses writes"
+                    ),
+                ));
             }
         }
         if wal.snapshot_due() {
@@ -815,6 +834,16 @@ impl Server {
                 }),
             }
         }
+        Ok(())
+    }
+
+    /// Has a write-ahead log append failed? Such a node is fenced: it
+    /// serves reads and refuses writes, as a replica does.
+    fn is_fenced(&self) -> bool {
+        self.inner
+            .wal
+            .as_ref()
+            .is_some_and(|wal| wal.lock().expect("wal poisoned").append_errors > 0)
     }
 
     /// Has a `shutdown` command been accepted?
@@ -1071,8 +1100,8 @@ impl Server {
     }
 
     /// Reject a data-plane request the server's current state refuses
-    /// to serve: shutting down, or a replica that is read-only or has
-    /// diverged.
+    /// to serve: shutting down, a replica that is read-only or has
+    /// diverged, or a write to a node whose log append failed.
     fn gate_rejection(&self, request: &Request, req: u64, trace: u64) -> Option<Response> {
         if self.is_shutting_down() {
             self.inner.counters.error();
@@ -1084,6 +1113,10 @@ impl Server {
                 "server is shutting down",
             ));
         }
+        let write = matches!(
+            request.cmd,
+            Command::Load { .. } | Command::Revise { .. } | Command::Drop { .. }
+        );
         // A replica serves reads only — and once its divergence
         // detector has fired, not even those: answers would come from
         // a history that is not the primary's.
@@ -1099,10 +1132,7 @@ impl Server {
                     "replica log diverged from its primary; refusing to serve",
                 ));
             }
-            if matches!(
-                request.cmd,
-                Command::Load { .. } | Command::Revise { .. } | Command::Drop { .. }
-            ) {
+            if write {
                 self.inner.counters.error();
                 return Some(Response::err(
                     request.id.clone(),
@@ -1112,6 +1142,11 @@ impl Server {
                     "this server is a read-only replica; send writes to the primary",
                 ));
             }
+        }
+        if write && self.is_fenced() {
+            self.inner.counters.error();
+            let (code, message) = fenced();
+            return Some(Response::err(request.id.clone(), req, trace, code, message));
         }
         None
     }
@@ -1344,7 +1379,6 @@ impl Server {
         let state = KbState::new(name.to_string(), sig, theory);
         let kbs = {
             let mut registry = self.inner.registry.lock().expect("registry poisoned");
-            registry.insert(name.to_string(), Arc::new(Mutex::new(state)));
             // Logged under the registry lock so log order is apply order.
             self.wal_append(
                 WalOp::Load {
@@ -1352,7 +1386,8 @@ impl Server {
                     t: t.to_string(),
                 },
                 trace,
-            );
+            )?;
+            registry.insert(name.to_string(), Arc::new(Mutex::new(state)));
             registry.len()
         };
         metrics::KBS.set(kbs as u64);
@@ -1451,6 +1486,18 @@ impl Server {
                 return Err(operator_mismatch(prev, op));
             }
         };
+        // Logged under the KB lock once the compile succeeded, and
+        // applied only once logged: a record in the log is a revise
+        // the client is told succeeded, never a failed one.
+        self.wal_append(
+            WalOp::Revise {
+                kb: name.to_string(),
+                op: op.tag().to_string(),
+                p: p_text.to_string(),
+                backend: backend.tag().to_string(),
+            },
+            trace,
+        )?;
         kb.revisions.push(p);
         kb.kind = kind;
         kb.degraded = matches!(outcome, CacheOutcome::Degraded);
@@ -1466,18 +1513,6 @@ impl Server {
             kb.profile.note_compile(op.tag(), micros);
             note_compile_micros(micros);
         }
-        // Logged under the KB lock, after the revise took effect: a
-        // record in the log is a revise the client was (about to be)
-        // told succeeded, never a partially applied one.
-        self.wal_append(
-            WalOp::Revise {
-                kb: name.to_string(),
-                op: op.tag().to_string(),
-                p: p_text.to_string(),
-                backend: backend.tag().to_string(),
-            },
-            trace,
-        );
         Ok(Json::obj([
             ("kb", Json::str(name)),
             ("op", Json::str(op.tag())),
@@ -1672,14 +1707,15 @@ impl Server {
     fn cmd_drop(&self, name: &str, trace: u64) -> Result<Json, ExecError> {
         let (removed, kbs) = {
             let mut registry = self.inner.registry.lock().expect("registry poisoned");
-            let removed = registry.remove(name).is_some();
+            let removed = registry.contains_key(name);
             if removed {
                 self.wal_append(
                     WalOp::Drop {
                         kb: name.to_string(),
                     },
                     trace,
-                );
+                )?;
+                registry.remove(name);
             }
             (removed, registry.len())
         };
@@ -3985,5 +4021,79 @@ mod tests {
         );
         let missing = s.metrics_route("/nope", "");
         assert_eq!(missing.status, 404);
+    }
+
+    /// Fault injection: once a log append fails, the write that hit it
+    /// is answered with an error and not applied, every later write is
+    /// refused with `read_only`, reads still work, and a restart
+    /// replays exactly the acknowledged writes.
+    #[test]
+    fn a_failed_wal_append_fails_the_write_and_fences_the_node() {
+        let dir = std::env::temp_dir().join(format!("revkb-fenced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig::default()
+            .with_threads(2)
+            .with_data_dir(Some(dir.clone()));
+        let s = Server::open(config.clone()).expect("data dir opens");
+        assert_ok(&call(&s, r#"{"cmd":"load","kb":"k","t":"a & b"}"#));
+        assert_ok(&call(
+            &s,
+            r#"{"cmd":"revise","kb":"k","op":"dalal","p":"!a"}"#,
+        ));
+        assert_ok(&call(&s, r#"{"cmd":"load","kb":"k2","t":"c"}"#));
+
+        let wal = s.inner.wal.as_ref().expect("durable server has a log");
+        wal.lock().unwrap().fail_appends().expect("reopen the log");
+        // (a & b) * !a = !a & b; applying * !b as well would make `b`
+        // false, so `b` still entailed shows the failed revise was not
+        // applied.
+        assert_err(
+            &call(&s, r#"{"cmd":"revise","kb":"k","op":"dalal","p":"!b"}"#),
+            codes::READ_ONLY,
+        );
+        for write in [
+            r#"{"cmd":"load","kb":"k3","t":"d"}"#,
+            r#"{"cmd":"revise","kb":"k2","op":"dalal","p":"!c"}"#,
+            r#"{"cmd":"drop","kb":"k2"}"#,
+        ] {
+            assert_err(&call(&s, write), codes::READ_ONLY);
+        }
+        let entails = |s: &Server, kb: &str, q: &str| {
+            let line = format!(r#"{{"cmd":"query","kb":"{kb}","q":"{q}"}}"#);
+            assert_ok(&call(s, &line))
+                .get("entails")
+                .and_then(Json::as_bool)
+        };
+        assert_eq!(entails(&s, "k", "b"), Some(true));
+        assert_eq!(entails(&s, "k2", "c"), Some(true));
+        let stats = assert_ok(&call(&s, r#"{"cmd":"stats"}"#)).clone();
+        let wal_stats = stats.get("wal").expect("stats report the log");
+        assert_eq!(
+            wal_stats.get("append_errors").and_then(Json::as_u64),
+            Some(1)
+        );
+        assert_eq!(wal_stats.get("records").and_then(Json::as_u64), Some(3));
+        drop(s);
+
+        let s = Server::open(config).expect("data dir reopens");
+        let list = assert_ok(&call(&s, r#"{"cmd":"list"}"#)).clone();
+        let kbs: Vec<(String, u64)> = list
+            .get("kbs")
+            .and_then(Json::as_array)
+            .expect("list answers kbs")
+            .iter()
+            .map(|kb| {
+                (
+                    kb.get("name").and_then(Json::as_str).unwrap().to_string(),
+                    kb.get("revisions").and_then(Json::as_u64).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(kbs, vec![("k".to_string(), 1), ("k2".to_string(), 0)]);
+        assert_eq!(entails(&s, "k", "b"), Some(true));
+        assert_eq!(entails(&s, "k", "!a"), Some(true));
+        assert_ok(&call(&s, r#"{"cmd":"load","kb":"k3","t":"d"}"#));
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

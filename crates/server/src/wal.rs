@@ -423,8 +423,10 @@ pub struct Wal {
     pub bytes: u64,
     /// Records appended by this process.
     pub appends: u64,
-    /// Appends that failed with an I/O error (the in-memory state is
-    /// then ahead of the log; the client was warned via stderr).
+    /// Appends that failed with an I/O error. The first one fences the
+    /// log: the failed write was not applied, and the server refuses
+    /// every later write, so the log holds exactly the acknowledged
+    /// writes.
     pub append_errors: u64,
     /// `sync_all` calls issued on the log.
     pub fsyncs: u64,
@@ -515,31 +517,13 @@ impl Wal {
         self.dir.join(LOG_FILE)
     }
 
-    /// Append one committed operation, honouring the sync discipline.
-    /// Returns the record's size in bytes.
+    /// Append one operation before it is applied, honouring the sync
+    /// discipline. Returns the record's size in bytes.
     pub fn append(&mut self, op: &WalOp) -> io::Result<u64> {
         let record = encode_record(op);
-        self.file.write_all(&record)?;
-        self.records += 1;
-        self.appends += 1;
-        self.bytes += record.len() as u64;
+        self.write_record(&record)?;
         if matches!(op, WalOp::Revise { .. }) {
             self.revises_since_snapshot += 1;
-        }
-        match self.sync {
-            SyncMode::Always => {
-                self.file.sync_all()?;
-                self.fsyncs += 1;
-            }
-            SyncMode::Batch => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= BATCH_SYNC_APPENDS {
-                    self.file.sync_all()?;
-                    self.fsyncs += 1;
-                    self.appends_since_sync = 0;
-                }
-            }
-            SyncMode::Off => {}
         }
         Ok(record.len() as u64)
     }
@@ -551,25 +535,46 @@ impl Wal {
     /// resume offsets directly comparable across nodes. The caller
     /// has already verified the frame's checksum.
     pub fn append_raw(&mut self, record: &[u8]) -> io::Result<()> {
-        self.file.write_all(record)?;
+        self.write_record(record)
+    }
+
+    /// Write one framed record and sync it as the discipline asks. On
+    /// an error the log is cut back to its last complete record (best
+    /// effort), so a write the caller reports as failed does not
+    /// reappear at the next boot.
+    fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
+        let written = self.file.write_all(record).and_then(|()| match self.sync {
+            SyncMode::Always => self.file.sync_all().map(|()| true),
+            SyncMode::Batch if self.appends_since_sync + 1 >= BATCH_SYNC_APPENDS => {
+                self.file.sync_all().map(|()| true)
+            }
+            SyncMode::Batch | SyncMode::Off => Ok(false),
+        });
+        let synced = match written {
+            Ok(synced) => synced,
+            Err(e) => {
+                let _ = self.file.set_len(self.bytes);
+                let _ = self.file.seek(SeekFrom::End(0));
+                return Err(e);
+            }
+        };
         self.records += 1;
         self.appends += 1;
         self.bytes += record.len() as u64;
-        match self.sync {
-            SyncMode::Always => {
-                self.file.sync_all()?;
-                self.fsyncs += 1;
-            }
-            SyncMode::Batch => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= BATCH_SYNC_APPENDS {
-                    self.file.sync_all()?;
-                    self.fsyncs += 1;
-                    self.appends_since_sync = 0;
-                }
-            }
-            SyncMode::Off => {}
+        if synced {
+            self.fsyncs += 1;
+            self.appends_since_sync = 0;
+        } else if self.sync == SyncMode::Batch {
+            self.appends_since_sync += 1;
         }
+        Ok(())
+    }
+
+    /// Swap the append handle for a read-only one on the same log, so
+    /// every later append fails: fault injection for tests.
+    #[cfg(test)]
+    pub(crate) fn fail_appends(&mut self) -> io::Result<()> {
+        self.file = File::open(self.log_path())?;
         Ok(())
     }
 
